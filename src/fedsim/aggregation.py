@@ -111,13 +111,11 @@ def fedavg(models) -> np.ndarray:
     return _weighted_combination(vecs, weights)
 
 
-def dw_fedavg(models, idx: PriorityIndex, *, literal_mean_scaling: bool = False) -> np.ndarray:
+def dw_fedavg(models, idx: PriorityIndex) -> np.ndarray:
     """Priority-weighted combination sum_i betas[i] * model[i].
 
-    ``literal_mean_scaling`` additionally divides by the number of clients.
-    That reading shrinks every parameter by roughly n and is kept only as a
-    debugging aid; the default convex combination is the form that reduces to
-    plain FedAvg under equal priorities.
+    The betas lie on the simplex, so this is a convex combination that
+    reduces to plain FedAvg under equal priorities.
     """
     vecs = _stack_models(models)
     betas = np.asarray(idx.betas, dtype=np.float64)
@@ -125,10 +123,7 @@ def dw_fedavg(models, idx: PriorityIndex, *, literal_mean_scaling: bool = False)
         raise ValueError(f"{len(vecs)} models but {betas.size} betas")
     if abs(float(betas.sum()) - 1.0) > BETA_SUM_TOL:
         raise ValueError(f"betas must sum to 1 (got {betas.sum()!r})")
-    combined = _weighted_combination(vecs, betas)
-    if literal_mean_scaling:
-        combined /= len(vecs)
-    return combined
+    return _weighted_combination(vecs, betas)
 
 
 def update_priority_index(idx: PriorityIndex, curr_acc) -> PriorityIndex:

@@ -151,19 +151,21 @@ def write_summary_csv(path: Path, rows: list[dict[str, str]]) -> None:
         writer.writerows(rows)
 
 
+def format_table(headers: list[str], rows: list[dict[str, str]]) -> str:
+    """Aligned plain-text table of the ``headers`` columns of ``rows``, ruled under the header."""
+    table = [headers] + [[row[h] for h in headers] for row in rows]
+    widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() for line in table]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    return "\n".join(lines)
+
+
 def format_summary_table(rows: list[dict[str, str]]) -> str:
     """Aligned plain-text table of the summary rows."""
     headers = ["dataset", "clients", "rounds", "strategy"] + [
         f"{m}_mean" for m in METRIC_NAMES
     ]
-    table = [headers] + [[row[h] for h in headers] for row in rows]
-    widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
-    lines = []
-    for line_no, line in enumerate(table):
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip())
-        if line_no == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+    return format_table(headers, rows)
 
 
 def run_cells(
@@ -203,6 +205,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     manifest.validate_grid_datasets()
 
     cells = expand_grid(manifest)
+    try:  # a bad hyperparameter fails here, before any output is written or cell runs
+        for cell in cells:
+            cell_config(manifest, cell)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     digest = run_hash(manifest, cells)
     out_dir = Path(args.out) if args.out else manifest.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -285,12 +292,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     deltas = compare_rows(rows_a, rows_b)
 
     headers = list(deltas[0].keys())
-    table = [headers] + [[row[h] for h in headers] for row in deltas]
-    widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
-    for line_no, line in enumerate(table):
-        print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip())
-        if line_no == 0:
-            print("  ".join("-" * w for w in widths))
+    print(format_table(headers, deltas))
 
     if args.out:
         out_path = Path(args.out)
@@ -418,6 +420,7 @@ __all__ = [
     "run_cells",
     "write_round_log",
     "write_summary_csv",
+    "format_table",
     "format_summary_table",
     "load_summary",
     "compare_rows",

@@ -20,21 +20,32 @@ class DatasetError(ValueError):
     """Raised for unreadable files, bad labels or infeasible splits."""
 
 
-# Published shape statistics of the benchmark datasets; used only for a
-# consistency warning when a loaded file claims one of these names.
+# The benchmark datasets by name: published shape and class balance (checked
+# against a loaded file of that name), the label column and the distribution
+# file names tried in order when a name has no manifest section. The synth-*
+# surrogates copy their shapes from here.
 @dataclass(frozen=True)
 class DatasetProfile:
     n_samples: int
     n_features: int
     n_benign: int
     n_malware: int
+    label_column: str
+    file_names: tuple[str, ...]
 
 
 KNOWN_DATASETS: dict[str, DatasetProfile] = {
-    "malgenome": DatasetProfile(3799, 215, 2539, 1260),
-    "drebin": DatasetProfile(15036, 215, 9476, 5560),
-    "tuandromd": DatasetProfile(4465, 241, 903, 3565),
-    "kronodroid": DatasetProfile(78137, 463, 36935, 41382),
+    "malgenome": DatasetProfile(
+        3799, 215, 2539, 1260, "class",
+        ("malgenome.csv", "malgenome-215-dataset-1260malware-2539-benign.csv")),
+    "drebin": DatasetProfile(
+        15036, 215, 9476, 5560, "class",
+        ("drebin.csv", "drebin-215-dataset-5560malware-9476-benign.csv")),
+    # The published class counts of these two do not sum to their row totals;
+    # the benign count absorbs the difference so the majority (malware) count
+    # is kept.
+    "tuandromd": DatasetProfile(4465, 241, 900, 3565, "Label", ("tuandromd.csv", "TUANDROMD.csv")),
+    "kronodroid": DatasetProfile(78137, 463, 36755, 41382, "Malware", ("kronodroid.csv",)),
 }
 
 # Label spellings seen across the public feature tables. Matching is

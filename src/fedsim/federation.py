@@ -7,13 +7,11 @@ additionally owns the global holdout split, which was never issued to any
 client.
 
 All randomness derives from (master_seed + repeat index); each client gets an
-independent per-round stream, so training clients in parallel is bit-identical
-to training them sequentially.
+independent per-round stream.
 """
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -94,6 +92,14 @@ class ExperimentConfig:
             raise ValueError(f"n_rounds must be >= 1, got {self.n_rounds}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not 0.0 < self.local_test_fraction < 1.0:
+            raise ValueError(f"local_test_fraction must lie in (0, 1), got {self.local_test_fraction}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        if any(h < 1 for h in self.hidden_dims):
+            raise ValueError(f"hidden_dims must all be >= 1, got {self.hidden_dims}")
         if isinstance(self.strategy, str):
             self.strategy = AggregationStrategy.parse(self.strategy)
 
@@ -144,7 +150,6 @@ def run_round(
     holdout: Dataset,
     run_seed: int,
     round_num: int,
-    parallel: bool = False,
 ) -> tuple[np.ndarray, PriorityIndex, RoundReport]:
     """One full federated round.
 
@@ -157,15 +162,8 @@ def run_round(
     for client in clients:
         client.receive_global(server_params)
 
-    def _update(client: ClientState) -> tuple[np.ndarray, float]:
-        rng = _client_rng(run_seed, round_num, client.client_id)
-        return client.local_update(cfg.train, rng)
-
-    if parallel and len(clients) > 1:
-        with ThreadPoolExecutor(max_workers=len(clients)) as pool:
-            results = list(pool.map(_update, clients))
-    else:
-        results = [_update(c) for c in clients]
+    results = [c.local_update(cfg.train, _client_rng(run_seed, round_num, c.client_id))
+               for c in clients]
     local_params = [vec for vec, _ in results]
     local_acc = np.array([acc for _, acc in results])
 
@@ -206,7 +204,6 @@ def run_experiment(
     cfg: ExperimentConfig,
     dataset: Dataset,
     *,
-    parallel_clients: bool = False,
     on_round=None,
 ) -> ExperimentResult:
     """Execute all repeats of an experiment on an already-loaded dataset.
@@ -225,7 +222,6 @@ def run_experiment(
             params, idx, report = run_round(
                 params, clients, idx, cfg,
                 holdout=holdout, run_seed=run_seed, round_num=round_num,
-                parallel=parallel_clients,
             )
             reports.append(report)
             if on_round is not None:

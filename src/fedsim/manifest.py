@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .aggregation import AggregationStrategy
-from .data import Dataset, DatasetError, load_csv, min_max_scale
+from .data import KNOWN_DATASETS, Dataset, DatasetError, load_csv, min_max_scale
 from .federation import DEFAULT_HIDDEN_DIMS
 from .synth import SURROGATES, resolve_synthetic
 
@@ -31,22 +31,7 @@ log = logging.getLogger(__name__)
 
 DATA_DIR_ENV = "FEDSIM_DATA_DIR"
 
-# Published distribution file names for the benchmark datasets, tried in
-# order when a bare name like "malgenome" has no manifest section.
-KNOWN_FILE_CANDIDATES: dict[str, tuple[str, ...]] = {
-    "malgenome": ("malgenome.csv", "malgenome-215-dataset-1260malware-2539-benign.csv"),
-    "drebin": ("drebin.csv", "drebin-215-dataset-5560malware-9476-benign.csv"),
-    "tuandromd": ("tuandromd.csv", "TUANDROMD.csv"),
-    "kronodroid": ("kronodroid.csv",),
-}
-KNOWN_LABEL_COLUMNS: dict[str, str] = {
-    "malgenome": "class",
-    "drebin": "class",
-    "tuandromd": "Label",
-    "kronodroid": "Malware",
-}
-
-TABLES_GRID_DATASETS = ("malgenome", "drebin", "tuandromd", "kronodroid")
+TABLES_GRID_DATASETS = tuple(KNOWN_DATASETS)
 TABLES_GRID_CLIENTS = (5, 10, 15)
 TABLES_GRID_ROUNDS = (10, 20)
 
@@ -153,13 +138,12 @@ class RunManifest:
     def resolve_dataset(self, name: str) -> Dataset:
         """Load (and cache) a dataset by name; thread-safe."""
         key = name.strip().lower()
+        # One lock around check, load and store: concurrent cells asking for
+        # the same name wait for the first load instead of repeating it.
         with self._cache_lock:
-            if key in self._cache:
-                return self._cache[key]
-        ds = self._load_dataset(key)
-        with self._cache_lock:
-            self._cache[key] = ds
-        return ds
+            if key not in self._cache:
+                self._cache[key] = self._load_dataset(key)
+            return self._cache[key]
 
     def _locate(self, name: str):
         """Return ('entry', DatasetEntry) / ('synth', name) / ('file', path, column)."""
@@ -174,10 +158,10 @@ class RunManifest:
             return ("entry", entry, resolved)
         if key in SURROGATES:
             return ("synth", key)
-        if key in KNOWN_FILE_CANDIDATES:
+        if key in KNOWN_DATASETS:
             found = self._search_known(key)
             if found is not None:
-                return ("file", found, KNOWN_LABEL_COLUMNS[key])
+                return ("file", found, KNOWN_DATASETS[key].label_column)
             raise ConfigError(
                 f"dataset '{key}': no manifest entry and no CSV found under "
                 f"${DATA_DIR_ENV} or ./data; fetch the dataset (see README) or "
@@ -217,7 +201,7 @@ class RunManifest:
         roots.append(Path("data"))
         roots.append(self.base_dir / "data")
         for root in roots:
-            for candidate in KNOWN_FILE_CANDIDATES[key]:
+            for candidate in KNOWN_DATASETS[key].file_names:
                 p = root / candidate
                 if p.is_file():
                     return p
@@ -272,7 +256,6 @@ __all__ = [
     "DatasetEntry",
     "RunManifest",
     "DATA_DIR_ENV",
-    "KNOWN_FILE_CANDIDATES",
     "TABLES_GRID_DATASETS",
     "TABLES_GRID_CLIENTS",
     "TABLES_GRID_ROUNDS",

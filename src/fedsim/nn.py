@@ -154,10 +154,6 @@ def init_network(input_dim: int, hidden_dims: list[int], seed: int) -> DenseNetw
     return DenseNetwork(layer_dims=dims, weights=weights, biases=biases)
 
 
-def forward(net: DenseNetwork, batch) -> np.ndarray:
-    return net.forward(batch)
-
-
 def _backward(net: DenseNetwork, X: np.ndarray, y: np.ndarray):
     """Mean BCE loss plus per-layer gradients for one batch."""
     n = X.shape[0]

@@ -4,12 +4,12 @@ Two generators live here: Drebin-style binary feature tables whose difficulty
 is set by a label-noise rate, and a small two-cluster Gaussian set used as a
 separability sanity check in tests.
 
-The ``synth-*`` registry mirrors the shapes (samples, features, class counts)
-of the public Android malware benchmarks and pins each surrogate's label-noise
-rate so that the best attainable test accuracy sits near the accuracies
-reported for the corresponding real dataset. They stand in for the real CSVs
-when those are not installed; loading the real files instead is always
-preferred for reproduction runs.
+The ``synth-*`` registry copies the shapes (samples, features, class counts)
+of the public Android malware benchmarks from ``data.KNOWN_DATASETS`` and
+pins each surrogate's label-noise rate so that the best attainable test
+accuracy sits near the accuracies reported for the corresponding real
+dataset. They stand in for the real CSVs when those are not installed;
+loading the real files instead is always preferred for reproduction runs.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import KNOWN_DATASETS, Dataset
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,14 @@ class SurrogateSpec:
 
 # Label-noise rates are calibrated so a well-trained classifier lands near the
 # accuracy reported for the real dataset of the same name.
+_LABEL_NOISE = {"malgenome": 0.004, "drebin": 0.012, "tuandromd": 0.012, "kronodroid": 0.038}
+
 SURROGATES: dict[str, SurrogateSpec] = {
-    "synth-malgenome": SurrogateSpec(3799, 215, 2539, 1260, label_noise=0.004),
-    "synth-drebin": SurrogateSpec(15036, 215, 9476, 5560, label_noise=0.012),
-    # Published class counts do not sum to the row total; the benign count
-    # absorbs the difference so the majority (malware) count is preserved.
-    "synth-tuandromd": SurrogateSpec(4465, 241, 900, 3565, label_noise=0.012),
-    "synth-kronodroid": SurrogateSpec(78137, 463, 36755, 41382, label_noise=0.038),
+    **{
+        f"synth-{name}": SurrogateSpec(p.n_samples, p.n_features, p.n_benign, p.n_malware,
+                                       label_noise=_LABEL_NOISE[name])
+        for name, p in KNOWN_DATASETS.items()
+    },
     # small and fast, for tests and smoke runs
     "synth-small": SurrogateSpec(800, 30, 500, 300, label_noise=0.02, n_informative=12),
 }

@@ -89,12 +89,6 @@ class TestDwFedavg:
             expected = oracle_weighted_sum(models, betas)
             np.testing.assert_allclose(dw_fedavg(models, idx), expected, rtol=0, atol=1e-12)
 
-    def test_literal_mean_scaling_divides_by_client_count(self):
-        models = [np.ones(4), np.ones(4)]
-        idx = PriorityIndex.uniform(2)
-        np.testing.assert_allclose(
-            dw_fedavg(models, idx, literal_mean_scaling=True), np.full(4, 0.5))
-
     def test_model_count_mismatch_rejected(self):
         idx = PriorityIndex.uniform(3)
         with pytest.raises(ValueError, match="betas"):

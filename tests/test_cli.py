@@ -150,6 +150,19 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
         assert "unknown dataset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", "1.5"), ("--clients", "1"), ("--batch-size", "0"),
+        ("--lr", "-1"), ("--repeats", "0"), ("--seed", "-1"),
+    ])
+    def test_bad_hyperparameter_is_exit_two_before_any_output(self, tmp_path, capsys,
+                                                               flag, value):
+        out = tmp_path / "o"
+        code = main(["run", "--dataset", "synth-small", "--rounds", "1", "--repeats", "1",
+                     flag, value, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 def make_summary(tmp_path, name, rows):
     path = tmp_path / name
@@ -213,6 +226,24 @@ class TestCompareCommand:
         with out.open(newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["accuracy_delta_pp"] == "+0.000"
+
+    def test_stdout_table_layout(self, tmp_path, capsys):
+        a = make_summary(tmp_path, "a.csv", [summary_row(strategy="fedavg", accuracy="0.991100"),
+                                             summary_row(clients="15", accuracy="0.990000")])
+        b = make_summary(tmp_path, "b.csv", [summary_row(strategy="dw-fedavg", accuracy="0.994300"),
+                                             summary_row(clients="15", strategy="dw-fedavg",
+                                                         accuracy="0.980000")])
+        assert main(["compare", str(a), str(b)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "dataset    clients  rounds  strategy_a  strategy_b  accuracy_delta_pp  f1_delta_pp"
+            "  auc_delta_pp  fpr_delta_pp\n"
+            "---------  -------  ------  ----------  ----------  -----------------  -----------"
+            "  ------------  ------------\n"
+            "malgenome  5        10      fedavg      dw-fedavg   +0.320             +0.000     "
+            "  +0.000        +0.000\n"
+            "malgenome  15       10      fedavg      dw-fedavg   -1.000             +0.000     "
+            "  +0.000        +0.000\n"
+        )
 
     def test_malformed_summary_rejected(self, tmp_path):
         from fedsim.manifest import ConfigError

@@ -1,7 +1,11 @@
 """Manifest parsing and dataset resolution tests."""
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from fedsim import manifest as manifest_module
 from fedsim.aggregation import AggregationStrategy
 from fedsim.manifest import ConfigError, RunManifest
 
@@ -112,6 +116,22 @@ class TestResolve:
     def test_resolution_is_cached(self):
         m = RunManifest()
         assert m.resolve_dataset("synth-small") is m.resolve_dataset("synth-small")
+
+    def test_concurrent_resolution_loads_once(self, monkeypatch):
+        real = manifest_module.resolve_synthetic
+        loads = []
+
+        def slow_counting(name):
+            loads.append(name)
+            time.sleep(0.2)
+            return real(name)
+
+        monkeypatch.setattr(manifest_module, "resolve_synthetic", slow_counting)
+        m = RunManifest()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            first, second = pool.map(m.resolve_dataset, ["synth-small", "synth-small"])
+        assert loads == ["synth-small"]
+        assert first is second
 
     def test_manifest_entry_resolves_relative_to_manifest_dir(self, tmp_path):
         write_toy_csv(tmp_path / "toy.csv")

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from fedsim.data import KNOWN_DATASETS
 from fedsim.synth import (
     SURROGATES,
     SurrogateSpec,
@@ -17,6 +18,14 @@ class TestRegistry:
         for name, spec in SURROGATES.items():
             assert spec.n_benign + spec.n_malware == spec.n_samples, name
             assert 0 <= spec.label_noise < 0.5
+
+    @pytest.mark.parametrize("name", sorted(KNOWN_DATASETS))
+    def test_benchmark_profile_is_consistent_and_copied_by_its_surrogate(self, name):
+        profile = KNOWN_DATASETS[name]
+        assert profile.n_benign + profile.n_malware == profile.n_samples
+        spec = SURROGATES[f"synth-{name}"]
+        assert (spec.n_samples, spec.n_features, spec.n_benign, spec.n_malware) == (
+            profile.n_samples, profile.n_features, profile.n_benign, profile.n_malware)
 
     @pytest.mark.parametrize("name", ["synth-small", "synth-malgenome",
                                       "synth-tuandromd", "synth-drebin"])
