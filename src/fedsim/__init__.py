@@ -44,7 +44,7 @@ from .metrics import (
     f1,
     fpr,
 )
-from .nn import DenseNetwork, TrainConfig, init_network, sgd_epoch, train_epochs
+from .nn import DenseNetwork, TrainConfig, init_network, sgd_epoch
 from .synth import SURROGATES, make_indicator_dataset, resolve_synthetic
 
 __version__ = "0.1.0"
@@ -87,7 +87,6 @@ __all__ = [
     "TrainConfig",
     "init_network",
     "sgd_epoch",
-    "train_epochs",
     "SURROGATES",
     "make_indicator_dataset",
     "resolve_synthetic",

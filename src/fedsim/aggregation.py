@@ -135,6 +135,11 @@ def update_priority_index(idx: PriorityIndex, curr_acc) -> PriorityIndex:
     strict degradation with ``beta -= beta*alpha``, leaves exact ties alone,
     then re-scales betas to sum to 1 and stores ``curr_acc`` as the new
     baseline.
+
+    A client penalized round after round would see its beta underflow to 0,
+    which leaves the simplex; re-scaled betas are therefore floored at the
+    smallest normal float64 (about 2.2e-308). The floor changes no beta that
+    is above it, and the sum stays within ``BETA_SUM_TOL`` of 1.
     """
     curr = np.asarray(curr_acc, dtype=np.float64)
     if curr.shape != idx.betas.shape:
@@ -151,4 +156,5 @@ def update_priority_index(idx: PriorityIndex, curr_acc) -> PriorityIndex:
     betas[curr > idx.prev_acc] *= 1.0 + idx.alpha
     betas[curr < idx.prev_acc] *= 1.0 - idx.alpha
     betas /= betas.sum()
+    np.maximum(betas, np.finfo(np.float64).tiny, out=betas)
     return PriorityIndex(betas=betas, prev_acc=curr.copy(), alpha=idx.alpha, round=new_round)

@@ -59,10 +59,17 @@ class ClientState:
 
         Returns only what may cross the privacy boundary: the updated flat
         parameter vector and the scalar local test accuracy.
+
+        Raises:
+            FloatingPointError: if training left a parameter non-finite
+                (typically a learning rate too large for the data).
         """
         net = self.model
         for _ in range(cfg.local_epochs):
             net, _ = sgd_epoch(net, self.shard.train.features, self.shard.train.labels, cfg, rng)
+        if not np.isfinite(net.params).all():
+            raise FloatingPointError(f"client {self.client_id}: local training diverged to non-finite "
+                                     f"parameters at learning rate {cfg.learning_rate}")
         self.model = net
         pred = predict_labels(net, self.shard.local_test.features)
         self.last_local_acc = float(np.mean(pred == self.shard.local_test.labels))

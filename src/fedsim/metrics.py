@@ -91,16 +91,14 @@ def fpr(c: Confusion) -> float:
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks over ascending order; tied values get the average rank."""
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=np.float64)
     ordered = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and ordered[j + 1] == ordered[i]:
-            j += 1
-        # positions i..j (0-based) share the average of ranks i+1..j+1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Sorted positions first..last (0-based) of each run of equal values share
+    # the average of ranks first+1..last+1; NaN never equals itself, so each
+    # NaN is a run of its own.
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    last = np.r_[first[1:], values.size] - 1
+    ranks = np.empty(values.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 

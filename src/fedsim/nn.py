@@ -6,8 +6,10 @@ cross-entropy. Everything runs on numpy; there is no autodiff framework
 underneath, which keeps the gradient path checkable against finite
 differences.
 
-Parameters flatten to a canonical vector layout (layer 0 weights row-major,
-layer 0 biases, layer 1 weights, ...) used by the aggregation arithmetic.
+A network's parameters live in one flat float64 buffer in the canonical
+layout (layer 0 weights row-major, layer 0 biases, layer 1 weights, ...) that
+the aggregation arithmetic works on; the per-layer weight and bias arrays are
+views into it, and gradients are written into a buffer of the same layout.
 """
 from __future__ import annotations
 
@@ -40,16 +42,24 @@ class TrainConfig:
 
 @dataclass
 class DenseNetwork:
-    """A fully-connected net as plain parameter arrays.
+    """A fully-connected net over one flat parameter buffer.
 
-    ``layer_dims`` is (input_dim, hidden..., 1); ``weights[k]`` has shape
-    (layer_dims[k], layer_dims[k+1]) and ``biases[k]`` shape (layer_dims[k+1],).
-    Hidden activations are ReLU, the output activation is sigmoid.
+    ``layer_dims`` is (input_dim, hidden..., 1) and ``params`` holds every
+    parameter in the canonical layout. ``weights[k]``, of shape
+    (layer_dims[k], layer_dims[k+1]), and ``biases[k]``, of shape
+    (layer_dims[k+1],), are views into ``params``, so writing either changes
+    the other. Hidden activations are ReLU, the output activation is sigmoid.
     """
 
     layer_dims: list[int]
-    weights: list[np.ndarray] = field(repr=False)
-    biases: list[np.ndarray] = field(repr=False)
+    params: np.ndarray = field(repr=False)
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.layer_dims = list(self.layer_dims)
+        self.params = np.ascontiguousarray(self.params, dtype=np.float64)
+        self.weights, self.biases = _layer_views(self.params, self.layer_dims)
 
     @property
     def input_dim(self) -> int:
@@ -57,48 +67,29 @@ class DenseNetwork:
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.layer_dims) - 1
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def copy(self) -> "DenseNetwork":
-        return DenseNetwork(
-            layer_dims=list(self.layer_dims),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return DenseNetwork(self.layer_dims, self.params.copy())
 
     def to_vector(self) -> np.ndarray:
-        """Flatten all parameters into the canonical ordering."""
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+        """A copy of all parameters in the canonical ordering."""
+        return self.params.copy()
 
     def set_vector(self, values: np.ndarray) -> None:
         """Load parameters in place from a flat vector (inverse of to_vector)."""
         values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1 or values.size != self.n_params:
+        if values.shape != self.params.shape:
             raise ValueError(f"expected a flat vector of length {self.n_params}, got shape {values.shape}")
-        pos = 0
-        for k, (rows, cols) in enumerate(zip(self.layer_dims[:-1], self.layer_dims[1:])):
-            self.weights[k] = values[pos : pos + rows * cols].reshape(rows, cols).copy()
-            pos += rows * cols
-            self.biases[k] = values[pos : pos + cols].copy()
-            pos += cols
+        self.params[:] = values
 
     @classmethod
     def from_vector(cls, layer_dims: list[int], values: np.ndarray) -> "DenseNetwork":
-        net = cls(
-            layer_dims=list(layer_dims),
-            weights=[np.zeros((r, c)) for r, c in zip(layer_dims[:-1], layer_dims[1:])],
-            biases=[np.zeros(c) for c in layer_dims[1:]],
-        )
-        net.set_vector(values)
-        return net
+        return cls(layer_dims, np.array(values, dtype=np.float64))
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
         """Probability of the positive class for each row of ``batch``."""
@@ -107,6 +98,28 @@ class DenseNetwork:
             a = np.maximum(a @ self.weights[k] + self.biases[k], 0.0)
         z = a @ self.weights[-1] + self.biases[-1]
         return _sigmoid(z).ravel()
+
+
+def _layer_views(flat: np.ndarray, layer_dims: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer (weights, biases) views into a flat buffer in the canonical layout.
+
+    This is the only place the layout is spelled out.
+    """
+    size = _param_count(layer_dims)
+    if flat.ndim != 1 or flat.size != size:
+        raise ValueError(f"expected a flat vector of length {size}, got shape {flat.shape}")
+    weights, biases = [], []
+    pos = 0
+    for rows, cols in zip(layer_dims[:-1], layer_dims[1:]):
+        weights.append(flat[pos : pos + rows * cols].reshape(rows, cols))
+        pos += rows * cols
+        biases.append(flat[pos : pos + cols])
+        pos += cols
+    return weights, biases
+
+
+def _param_count(layer_dims: list[int]) -> int:
+    return sum((rows + 1) * cols for rows, cols in zip(layer_dims[:-1], layer_dims[1:]))
 
 
 def _check_batch(batch, input_dim: int) -> np.ndarray:
@@ -145,17 +158,16 @@ def init_network(input_dim: int, hidden_dims: list[int], seed: int) -> DenseNetw
     if any(d < 1 for d in dims):
         raise ValueError(f"all layer dimensions must be >= 1, got {dims[:-1]}")
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    net = DenseNetwork(dims, np.zeros(_param_count(dims)))
+    for w in net.weights:
+        fan_in, fan_out = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return DenseNetwork(layer_dims=dims, weights=weights, biases=biases)
+        w[:] = rng.uniform(-limit, limit, size=w.shape)
+    return net
 
 
-def _backward(net: DenseNetwork, X: np.ndarray, y: np.ndarray):
-    """Mean BCE loss plus per-layer gradients for one batch."""
+def _backward(net: DenseNetwork, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean BCE loss for one batch and its gradient as a flat vector in the canonical layout."""
     n = X.shape[0]
     acts = [X]
     pre = []
@@ -172,27 +184,22 @@ def _backward(net: DenseNetwork, X: np.ndarray, y: np.ndarray):
     y_col = y.reshape(-1, 1)
     loss = float(-np.mean(y_col * np.log(clipped) + (1.0 - y_col) * np.log(1.0 - clipped)))
 
-    grad_w = [None] * net.n_layers
-    grad_b = [None] * net.n_layers
+    grad = np.empty_like(net.params)
+    grad_w, grad_b = _layer_views(grad, net.layer_dims)
     delta = (prob - y_col) / n  # d(mean BCE)/d(z_out) for the sigmoid output
     for k in range(net.n_layers - 1, -1, -1):
-        grad_w[k] = acts[k].T @ delta
-        grad_b[k] = delta.sum(axis=0)
+        np.matmul(acts[k].T, delta, out=grad_w[k])
+        np.sum(delta, axis=0, out=grad_b[k])
         if k > 0:
             delta = (delta @ net.weights[k].T) * (pre[k - 1] > 0.0)
-    return loss, grad_w, grad_b
+    return loss, grad
 
 
 def loss_and_gradient(net: DenseNetwork, batch, labels) -> tuple[float, np.ndarray]:
     """Mean binary cross-entropy and its gradient as a flat parameter vector."""
     X = _check_batch(batch, net.input_dim)
     y = _check_labels(labels, X.shape[0])
-    loss, grad_w, grad_b = _backward(net, X, y)
-    parts = []
-    for gw, gb in zip(grad_w, grad_b):
-        parts.append(gw.ravel())
-        parts.append(gb)
-    return loss, np.concatenate(parts)
+    return _backward(net, X, y)
 
 
 def sgd_epoch(
@@ -223,28 +230,10 @@ def sgd_epoch(
     loss_sum = 0.0
     for start in range(0, n, cfg.batch_size):
         idx = perm[start : start + cfg.batch_size]
-        loss, grad_w, grad_b = _backward(net, X[idx], y[idx])
+        loss, grad = _backward(net, X[idx], y[idx])
         loss_sum += loss * idx.size
-        for k in range(net.n_layers):
-            net.weights[k] -= lr * grad_w[k]
-            net.biases[k] -= lr * grad_b[k]
+        net.params -= lr * grad
     return net, loss_sum / n
-
-
-def train_epochs(
-    net: DenseNetwork,
-    X,
-    y,
-    cfg: TrainConfig,
-    rng: np.random.Generator | None = None,
-) -> tuple[DenseNetwork, float]:
-    """Run cfg.local_epochs SGD epochs; returns the net and last epoch's mean loss."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    loss = float("nan")
-    for _ in range(cfg.local_epochs):
-        net, loss = sgd_epoch(net, X, y, cfg, rng)
-    return net, loss
 
 
 def predict_labels(net: DenseNetwork, batch) -> np.ndarray:

@@ -169,6 +169,18 @@ class TestPriorityUpdate:
         ratio = idx.betas[0] / idx.betas[1]
         assert ratio == pytest.approx((1 + alpha) ** k, rel=1e-12)
 
+    def test_long_penalty_streak_floors_beta_instead_of_underflowing(self):
+        # alpha 0.95 shrinks the degrading client's beta ~39x per update, so
+        # it would reach 0 (and leave the simplex) after about 200 updates
+        idx = PriorityIndex.uniform(4, alpha=0.95)
+        for t in range(401):
+            idx = update_priority_index(idx, [0.9 - t / 1000, 0.1 + t / 1000,
+                                              0.1 + t / 1000, 0.1 + t / 1000])
+        tiny = np.finfo(np.float64).tiny
+        assert idx.round == 401
+        assert idx.betas[0] == tiny
+        np.testing.assert_allclose(idx.betas[1:], 1.0 / 3.0, rtol=0, atol=1e-12)
+
     def test_input_index_is_not_mutated(self):
         idx = PriorityIndex(betas=np.full(4, 0.25), prev_acc=np.full(4, 0.5), round=2)
         before = idx.betas.copy()

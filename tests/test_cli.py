@@ -7,6 +7,7 @@ import pytest
 from fedsim.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_RUNTIME,
     SUMMARY_FIELDS,
     build_parser,
     compare_rows,
@@ -162,6 +163,16 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_divergent_training_is_exit_one_without_summary(self, tmp_path, caplog):
+        # at this seed and learning rate two clients overflow to inf in round 1
+        out = tmp_path / "o"
+        code = main(["run", "--dataset", "synth-small", "--rounds", "1", "--repeats", "1",
+                     "--strategy", "fedavg", "--seed", "43", "--lr", "50", "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        assert "client 1: local training diverged" in caplog.text
+        assert "learning rate 50.0" in caplog.text
+        assert not list(out.glob("summary_*.csv"))
 
 
 def make_summary(tmp_path, name, rows):

@@ -9,7 +9,6 @@ from fedsim.nn import (
     loss_and_gradient,
     predict_labels,
     sgd_epoch,
-    train_epochs,
 )
 from fedsim.synth import make_two_cluster
 
@@ -38,6 +37,14 @@ def finite_difference_grad(net, X, y, eps=1e-5):
         down, _ = loss_and_gradient(probe, X, y)
         grad[i] = (up - down) / (2.0 * eps)
     return grad
+
+
+def train_for_local_epochs(net, X, y, cfg):
+    """cfg.local_epochs SGD epochs on one shuffle stream seeded by cfg.seed; returns (net, last loss)."""
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.local_epochs):
+        net, loss = sgd_epoch(net, X, y, cfg, rng)
+    return net, loss
 
 
 def random_small_net(rng, generic_params=False):
@@ -104,6 +111,21 @@ class TestParamVector:
         net = init_network(3, [2], 0)
         with pytest.raises(ValueError, match="length"):
             net.set_vector(np.zeros(net.n_params + 1))
+        with pytest.raises(ValueError, match="length"):
+            DenseNetwork.from_vector([3, 2, 1], np.zeros(net.n_params - 1))
+
+    def test_layers_are_views_of_the_one_parameter_buffer(self):
+        net = init_network(4, [3, 2], 1)
+        buffer = net.params
+        for arr in net.weights + net.biases:
+            assert arr.base is buffer
+        net.set_vector(np.arange(net.n_params, dtype=float))
+        assert net.params is buffer
+        assert net.weights[0][0].tolist() == [0.0, 1.0, 2.0]
+        assert net.biases[0].tolist() == [12.0, 13.0, 14.0]
+        net.weights[1][:] = -1.0
+        assert np.all(net.params[15:21] == -1.0)
+        assert not np.shares_memory(net.copy().params, buffer)
 
 
 class TestForward:
@@ -114,9 +136,7 @@ class TestForward:
         assert np.all(out == 0.5)
 
     def test_single_layer_hand_case(self):
-        net = DenseNetwork(layer_dims=[2, 1],
-                           weights=[np.array([[1.0], [1.0]])],
-                           biases=[np.zeros(1)])
+        net = DenseNetwork.from_vector([2, 1], [1.0, 1.0, 0.0])
         assert net.forward([[0.0, 0.0]])[0] == 0.5
 
     def test_matches_reference_pass(self):
@@ -141,8 +161,7 @@ class TestForward:
 
 class TestLossAndGradient:
     def test_confident_correct_prediction_loss_near_zero(self):
-        net = DenseNetwork(layer_dims=[1, 1],
-                           weights=[np.array([[30.0]])], biases=[np.zeros(1)])
+        net = DenseNetwork.from_vector([1, 1], [30.0, 0.0])
         loss, _ = loss_and_gradient(net, [[1.0]], [1])
         assert 0.0 <= loss < 1e-6
 
@@ -222,15 +241,15 @@ class TestSgd:
         y = rng.integers(0, 2, size=40)
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=3, seed=21)
         net = init_network(4, [3], 9)
-        a, _ = train_epochs(net, X, y, cfg)
-        b, _ = train_epochs(net, X, y, cfg)
+        a, _ = train_for_local_epochs(net, X, y, cfg)
+        b, _ = train_for_local_epochs(net, X, y, cfg)
         assert np.array_equal(a.to_vector(), b.to_vector())
 
     def test_separable_toy_set_reaches_full_accuracy(self):
         ds = make_two_cluster(n_samples=200, seed=0)
         net = init_network(2, [], seed=1)
         cfg = TrainConfig(learning_rate=0.5, batch_size=32, local_epochs=200, seed=2)
-        trained, _ = train_epochs(net, ds.features, ds.labels, cfg)
+        trained, _ = train_for_local_epochs(net, ds.features, ds.labels, cfg)
         pred = predict_labels(trained, ds.features)
         assert np.mean(pred == ds.labels) == 1.0
 
@@ -239,7 +258,7 @@ class TestSgd:
         X = rng.integers(0, 2, size=(100, 10)).astype(float)
         y = rng.integers(0, 2, size=100)
         net = init_network(10, [8, 4], 3)
-        trained, loss = train_epochs(net, X, y, TrainConfig(local_epochs=10, seed=4))
+        trained, loss = train_for_local_epochs(net, X, y, TrainConfig(local_epochs=10, seed=4))
         assert np.isfinite(trained.to_vector()).all()
         assert np.isfinite(loss)
 
@@ -257,8 +276,7 @@ class TestPredictLabels:
 
     def test_threshold_separates(self):
         # logistic identity: w=1, b=0, so inputs are the logits
-        net = DenseNetwork(layer_dims=[1, 1],
-                           weights=[np.array([[1.0]])], biases=[np.zeros(1)])
+        net = DenseNetwork.from_vector([1, 1], [1.0, 0.0])
         logit = lambda p: np.log(p / (1.0 - p))
         out = predict_labels(net, [[logit(0.2)], [logit(0.9)]])
         assert out.tolist() == [0, 1]
