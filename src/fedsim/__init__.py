@@ -16,7 +16,6 @@ from .data import (
     ClientShard,
     Dataset,
     DatasetError,
-    SplitSpec,
     holdout_split,
     load_csv,
     min_max_scale,
@@ -58,7 +57,6 @@ __all__ = [
     "ClientShard",
     "Dataset",
     "DatasetError",
-    "SplitSpec",
     "holdout_split",
     "load_csv",
     "min_max_scale",

@@ -15,13 +15,14 @@ import logging
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .aggregation import AggregationStrategy
-from .data import DatasetError, SplitSpec
+from .data import DatasetError
 from .federation import ExperimentConfig, ExperimentResult, run_experiment
 from .manifest import (
+    SETTINGS,
     ConfigError,
     RunManifest,
     TABLES_GRID_CLIENTS,
@@ -76,7 +77,7 @@ def cell_config(manifest: RunManifest, cell: GridCell) -> ExperimentConfig:
             batch_size=manifest.batch_size,
             local_epochs=manifest.local_epochs,
         ),
-        split=SplitSpec(holdout_fraction=manifest.holdout_fraction),
+        holdout_fraction=manifest.holdout_fraction,
         local_test_fraction=manifest.local_test_fraction,
         repeats=manifest.repeats,
         master_seed=manifest.master_seed,
@@ -86,22 +87,14 @@ def cell_config(manifest: RunManifest, cell: GridCell) -> ExperimentConfig:
 
 def run_hash(manifest: RunManifest, cells: list[GridCell]) -> str:
     """Short stable digest of everything that affects the numbers."""
-    payload = json.dumps(
-        {
-            "cells": [[c.dataset, c.clients, c.rounds, c.strategy.value] for c in cells],
-            "alpha": manifest.alpha,
-            "learning_rate": manifest.learning_rate,
-            "batch_size": manifest.batch_size,
-            "local_epochs": manifest.local_epochs,
-            "repeats": manifest.repeats,
-            "master_seed": manifest.master_seed,
-            "holdout_fraction": manifest.holdout_fraction,
-            "local_test_fraction": manifest.local_test_fraction,
-            "hidden_dims": list(manifest.hidden_dims),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:10]
+    payload = {name: getattr(manifest, name) for name in SETTINGS}
+    payload["cells"] = [[c.dataset, c.clients, c.rounds, c.strategy.value] for c in cells]
+    # Manifest dataset entries as written; a grid of synth-* and known names has none.
+    entries = {c.dataset: asdict(manifest.datasets[c.dataset])
+               for c in cells if c.dataset in manifest.datasets}
+    if entries:
+        payload["datasets"] = entries
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:10]
 
 
 def summary_row(cell: GridCell, result: ExperimentResult) -> dict[str, str]:
@@ -200,11 +193,16 @@ def run_cells(
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     manifest = RunManifest.load(args.manifest) if args.manifest else RunManifest()
     _apply_overrides(manifest, args)
     manifest.validate_grid_datasets()
 
     cells = expand_grid(manifest)
+    repeated = [cell.slug() for i, cell in enumerate(cells) if cell in cells[:i]]
+    if repeated:  # it would write a duplicate summary row and overwrite its round log
+        raise ConfigError(f"grid cell {repeated[0]} is listed more than once")
     try:  # a bad hyperparameter fails here, before any output is written or cell runs
         for cell in cells:
             cell_config(manifest, cell)
@@ -324,18 +322,9 @@ def _apply_overrides(manifest: RunManifest, args: argparse.Namespace) -> None:
             ]
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    if args.alpha is not None:
-        manifest.alpha = args.alpha
-    if args.lr is not None:
-        manifest.learning_rate = args.lr
-    if args.batch_size is not None:
-        manifest.batch_size = args.batch_size
-    if args.local_epochs is not None:
-        manifest.local_epochs = args.local_epochs
-    if args.repeats is not None:
-        manifest.repeats = args.repeats
-    if args.seed is not None:
-        manifest.master_seed = args.seed
+    for name in SETTINGS:
+        if getattr(args, name, None) is not None:
+            setattr(manifest, name, getattr(args, name))
     if not manifest.grid_datasets:
         raise ConfigError("experiment grid has no datasets")
 
@@ -366,11 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--strategy", "--strategies", dest="strategy",
                      help="comma-separated strategies: fedavg, dw-fedavg")
     run.add_argument("--alpha", type=float, help="priority reward/penalty factor")
-    run.add_argument("--lr", type=float, help="client SGD learning rate")
+    run.add_argument("--lr", dest="learning_rate", metavar="LR", type=float,
+                     help="client SGD learning rate")
     run.add_argument("--batch-size", type=int, help="client mini-batch size")
     run.add_argument("--local-epochs", type=int, help="local epochs per round")
     run.add_argument("--repeats", type=int, help="independent repeats per cell")
-    run.add_argument("--seed", type=int, help="master seed (repeat r uses seed+r)")
+    run.add_argument("--seed", dest="master_seed", metavar="SEED", type=int,
+                     help="master seed (repeat r uses seed+r)")
     run.add_argument("--out", help="output directory (default from manifest)")
     run.add_argument("--grid", choices=_GRID_PRESETS,
                      help="preset grid: tables23 = 4 datasets x {5,10,15} clients "

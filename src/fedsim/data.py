@@ -2,7 +2,8 @@
 
 Datasets arrive as CSV feature tables with a header row and one label column.
 Rows with unparsable or missing cells are dropped (and counted) rather than
-imputed. Splits are stratified and fully determined by their seed.
+imputed. Splits draw the same share of every class and are fully determined
+by their seed.
 """
 from __future__ import annotations
 
@@ -91,19 +92,6 @@ class Dataset:
             labels=self.labels[idx],
             feature_names=self.feature_names,
         )
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Parameters of the global train/test holdout."""
-
-    holdout_fraction: float = 0.20
-    seed: int = 0
-    stratified: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ValueError(f"holdout_fraction must lie in (0, 1), got {self.holdout_fraction}")
 
 
 @dataclass
@@ -218,8 +206,8 @@ def min_max_scale(ds: Dataset) -> Dataset:
     )
 
 
-def _stratified_test_indices(labels: np.ndarray, fraction: float,
-                             rng: np.random.Generator, clamp: bool) -> np.ndarray:
+def _per_class_test_indices(labels: np.ndarray, fraction: float,
+                            rng: np.random.Generator, clamp: bool) -> np.ndarray:
     """Shuffled per-class test picks; ``clamp`` forces 1 <= picks <= n_c - 1."""
     parts = []
     for cls in np.unique(labels):
@@ -233,26 +221,23 @@ def _stratified_test_indices(labels: np.ndarray, fraction: float,
     return np.concatenate(parts)
 
 
-def holdout_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Split into (train, test) with |test| ~= holdout_fraction * |ds|.
+def holdout_split(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Split into (train, test) with |test| ~= fraction * |ds|, drawn class by class.
 
-    Stratified mode draws round(fraction * n_c) samples per class, keeping
-    class ratios within one sample per class; it requires at least 5 samples
-    of each class. Deterministic for a fixed spec.seed.
+    Draws round(fraction * n_c) samples per class, keeping class ratios within
+    one sample per class; it requires at least 5 samples of each class.
+    Deterministic for a fixed seed.
     """
-    rng = np.random.default_rng(spec.seed)
-    n = len(ds)
-    if spec.stratified:
-        benign, malware = ds.class_counts()
-        if min(benign, malware) < 5:
-            raise DatasetError(
-                f"{ds.name}: need >= 5 samples per class for a stratified split "
-                f"(got benign={benign}, malware={malware})")
-        test_idx = _stratified_test_indices(ds.labels, spec.holdout_fraction, rng, clamp=False)
-    else:
-        test_idx = rng.permutation(n)[: int(round(spec.holdout_fraction * n))]
-    test_idx = np.sort(test_idx)
-    mask = np.ones(n, dtype=bool)
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"holdout fraction must lie in (0, 1), got {fraction}")
+    benign, malware = ds.class_counts()
+    if min(benign, malware) < 5:
+        raise DatasetError(
+            f"{ds.name}: need >= 5 samples per class for a holdout split "
+            f"(got benign={benign}, malware={malware})")
+    rng = np.random.default_rng(seed)
+    test_idx = np.sort(_per_class_test_indices(ds.labels, fraction, rng, clamp=False))
+    mask = np.ones(len(ds), dtype=bool)
     mask[test_idx] = False
     train_idx = np.flatnonzero(mask)
     return (
@@ -266,7 +251,7 @@ def partition_clients(train: Dataset, n_clients: int, local_test_fraction: float
     """Partition training data into IID client shards with inner local splits.
 
     Shards are disjoint, cover the training set and differ in size by at most
-    one (earlier clients absorb the remainder). Within each shard a stratified
+    one (earlier clients absorb the remainder). Within each shard a per-class
     split reserves ``local_test_fraction`` for the client's own accuracy
     measurement; both sides of that inner split keep at least one sample per
     class.
@@ -294,7 +279,7 @@ def partition_clients(train: Dataset, n_clients: int, local_test_fraction: float
                 f"{train.name}: client {cid} received a single-class shard; "
                 "too few samples per client")
         try:
-            local_pick = _stratified_test_indices(shard_labels, local_test_fraction, rng, clamp=True)
+            local_pick = _per_class_test_indices(shard_labels, local_test_fraction, rng, clamp=True)
         except DatasetError as exc:
             raise DatasetError(f"{train.name}: client {cid}: {exc}; too few samples per client") from None
         local_mask = np.ones(size, dtype=bool)

@@ -12,16 +12,14 @@ independent per-round stream.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .aggregation import AggregationStrategy, PriorityIndex, dw_fedavg, fedavg, update_priority_index
-from .data import ClientShard, Dataset, SplitSpec, holdout_split, partition_clients
+from .data import ClientShard, Dataset, holdout_split, partition_clients
 from .metrics import MetricSet, evaluate_scores
 from .nn import DenseNetwork, TrainConfig, init_network, predict_labels, sgd_epoch
-
-DEFAULT_HIDDEN_DIMS = (200, 100, 50)
 
 # spawn-key domains for deriving independent RNG streams from one run seed
 _DOMAIN_HOLDOUT = 0
@@ -86,11 +84,11 @@ class ExperimentConfig:
     strategy: AggregationStrategy = AggregationStrategy.DW_FEDAVG
     alpha: float = 0.2
     train: TrainConfig = field(default_factory=TrainConfig)
-    split: SplitSpec = field(default_factory=SplitSpec)  # seed is overridden per repeat
+    holdout_fraction: float = 0.20
     local_test_fraction: float = 0.20
     repeats: int = 5
     master_seed: int = 42
-    hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN_DIMS
+    hidden_dims: tuple[int, ...] = (200, 100, 50)
 
     def __post_init__(self) -> None:
         if self.n_clients < 2:
@@ -101,6 +99,8 @@ class ExperimentConfig:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not 0.0 < self.holdout_fraction < 1.0:
+            raise ValueError(f"holdout_fraction must lie in (0, 1), got {self.holdout_fraction}")
         if not 0.0 < self.local_test_fraction < 1.0:
             raise ValueError(f"local_test_fraction must lie in (0, 1), got {self.local_test_fraction}")
         if self.master_seed < 0:
@@ -196,8 +196,8 @@ def setup_repeat(
     cfg: ExperimentConfig, dataset: Dataset, run_seed: int
 ) -> tuple[Dataset, list[ClientState], np.ndarray, PriorityIndex]:
     """Split, shard and initialize one repeat; returns (holdout, clients, params, index)."""
-    split = replace(cfg.split, seed=derive_seed(run_seed, _DOMAIN_HOLDOUT))
-    train, holdout = holdout_split(dataset, split)
+    train, holdout = holdout_split(dataset, cfg.holdout_fraction,
+                                   derive_seed(run_seed, _DOMAIN_HOLDOUT))
     shards = partition_clients(
         train, cfg.n_clients, cfg.local_test_fraction, seed=derive_seed(run_seed, _DOMAIN_PARTITION)
     )

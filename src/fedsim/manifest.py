@@ -2,7 +2,8 @@
 
 Manifests are INI files (flat key=value under section headers) so they parse
 with the standard library alone. Every value can be overridden by the CLI
-flag of the same name. Dataset sections look like::
+flag of the same name; an unknown section or key is an error. Dataset
+sections look like::
 
     [dataset.malgenome]
     path = data/malgenome.csv
@@ -19,12 +20,14 @@ import configparser
 import logging
 import os
 import threading
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .aggregation import AggregationStrategy
 from .data import KNOWN_DATASETS, Dataset, DatasetError, load_csv, min_max_scale
-from .federation import DEFAULT_HIDDEN_DIMS
+from .federation import ExperimentConfig
+from .nn import TrainConfig
 from .synth import SURROGATES, resolve_synthetic
 
 log = logging.getLogger(__name__)
@@ -38,6 +41,35 @@ TABLES_GRID_ROUNDS = (10, 20)
 
 class ConfigError(ValueError):
     """Invalid manifest contents or unresolvable dataset references."""
+
+
+def _hidden_dims(raw: str) -> tuple[int, ...]:
+    return tuple(_int_list(raw, "hidden_dims"))
+
+
+# The run settings: each name is a RunManifest field, a [defaults] key, the
+# destination of its `fedsim run` flag (where it has one) and a key of the run
+# hash; the value parses its manifest text.
+SETTINGS: dict[str, Callable[[str], object]] = {
+    "alpha": float,
+    "learning_rate": float,
+    "batch_size": int,
+    "local_epochs": int,
+    "repeats": int,
+    "master_seed": int,
+    "holdout_fraction": float,
+    "local_test_fraction": float,
+    "hidden_dims": _hidden_dims,
+}
+# Shorter [defaults] spellings of two settings.
+_ALIASES = {"lr": "learning_rate", "seed": "master_seed"}
+
+_SECTION_KEYS = {
+    "defaults": (*SETTINGS, *_ALIASES),
+    "grid": ("datasets", "clients", "rounds", "strategies"),
+    "output": ("dir",),
+    "dataset.*": ("path", "label_column", "labels", "scale"),
+}
 
 
 @dataclass
@@ -59,15 +91,15 @@ class RunManifest:
     grid_rounds: list[int] = field(default_factory=lambda: [10])
     grid_strategies: list[AggregationStrategy] = field(
         default_factory=lambda: [AggregationStrategy.FEDAVG, AggregationStrategy.DW_FEDAVG])
-    alpha: float = 0.2
-    learning_rate: float = 0.01
-    batch_size: int = 32
-    local_epochs: int = 5
-    repeats: int = 5
-    master_seed: int = 42
-    holdout_fraction: float = 0.20
-    local_test_fraction: float = 0.20
-    hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN_DIMS
+    alpha: float = ExperimentConfig.alpha
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    local_epochs: int = TrainConfig.local_epochs
+    repeats: int = ExperimentConfig.repeats
+    master_seed: int = ExperimentConfig.master_seed
+    holdout_fraction: float = ExperimentConfig.holdout_fraction
+    local_test_fraction: float = ExperimentConfig.local_test_fraction
+    hidden_dims: tuple[int, ...] = ExperimentConfig.hidden_dims
     out_dir: Path = Path("results")
     base_dir: Path = Path(".")
 
@@ -87,18 +119,36 @@ class RunManifest:
             raise ConfigError(f"{path}: {exc}") from None
 
         m = cls(base_dir=path.parent)
+        for section in parser.sections():
+            kind = "dataset.*" if section.startswith("dataset.") else section
+            if kind not in _SECTION_KEYS:
+                raise ConfigError(f"{path}: unknown section [{section}]")
+            sec = parser[section]
+            unknown = [key for key in sec if key not in _SECTION_KEYS[kind]]
+            if unknown:
+                raise ConfigError(f"{path}: unknown key '{unknown[0]}' in [{section}]")
+            if kind != "dataset.*":
+                continue
+            name = section.split(".", 1)[1].strip().lower()
+            if "path" not in sec:
+                raise ConfigError(f"{path}: [{section}] is missing the 'path' key")
+            m.datasets[name] = DatasetEntry(
+                name=name,
+                path=sec["path"],
+                label_column=sec.get("label_column", "class"),
+                label_map=_parse_label_map(sec.get("labels", "")) or None,
+                scale=sec.getboolean("scale", fallback=False),
+            )
+
         if parser.has_section("defaults"):
             d = parser["defaults"]
-            m.alpha = _get(d, "alpha", float, m.alpha)
-            m.learning_rate = _get(d, "learning_rate", float, _get(d, "lr", float, m.learning_rate))
-            m.batch_size = _get(d, "batch_size", int, m.batch_size)
-            m.local_epochs = _get(d, "local_epochs", int, m.local_epochs)
-            m.repeats = _get(d, "repeats", int, m.repeats)
-            m.master_seed = _get(d, "master_seed", int, _get(d, "seed", int, m.master_seed))
-            m.holdout_fraction = _get(d, "holdout_fraction", float, m.holdout_fraction)
-            m.local_test_fraction = _get(d, "local_test_fraction", float, m.local_test_fraction)
-            if "hidden_dims" in d:
-                m.hidden_dims = tuple(_int_list(d["hidden_dims"], "hidden_dims"))
+            # aliases first, so the canonical key is applied last and wins
+            for key in sorted(d, key=lambda k: k in SETTINGS):
+                name = _ALIASES.get(key, key)
+                try:
+                    setattr(m, name, SETTINGS[name](d[key]))
+                except ValueError:
+                    raise ConfigError(f"key '{key}': cannot parse {d[key]!r}") from None
         if parser.has_section("grid"):
             g = parser["grid"]
             if "datasets" in g:
@@ -111,21 +161,6 @@ class RunManifest:
                 m.grid_strategies = [_parse_strategy(s) for s in _str_list(g["strategies"])]
         if parser.has_section("output") and "dir" in parser["output"]:
             m.out_dir = Path(parser["output"]["dir"])
-
-        for section in parser.sections():
-            if not section.startswith("dataset."):
-                continue
-            name = section.split(".", 1)[1].strip().lower()
-            sec = parser[section]
-            if "path" not in sec:
-                raise ConfigError(f"{path}: [{section}] is missing the 'path' key")
-            m.datasets[name] = DatasetEntry(
-                name=name,
-                path=sec["path"],
-                label_column=sec.get("label_column", "class"),
-                label_map=_parse_label_map(sec.get("labels", "")) or None,
-                scale=sec.getboolean("scale", fallback=False),
-            )
         if not m.grid_datasets or not m.grid_clients or not m.grid_rounds or not m.grid_strategies:
             raise ConfigError(f"{path}: experiment grid must not be empty")
         return m
@@ -145,23 +180,30 @@ class RunManifest:
                 self._cache[key] = self._load_dataset(key)
             return self._cache[key]
 
-    def _locate(self, name: str):
-        """Return ('entry', DatasetEntry) / ('synth', name) / ('file', path, column)."""
+    def _locate(self, name: str) -> DatasetEntry | None:
+        """The entry to load ``name`` from, with its path resolved; None for a synth-* name."""
         key = name.strip().lower()
+        env = os.environ.get(DATA_DIR_ENV)
+        env_dirs = [Path(env)] if env else []
         if key in self.datasets:
             entry = self.datasets[key]
-            resolved = self._resolve_path(entry.path)
-            if resolved is None:
+            p = Path(entry.path)
+            found = _first_file([p] if p.is_absolute() else
+                                [self.base_dir / p, *(d / p for d in env_dirs)])
+            if found is None:
                 raise ConfigError(
                     f"dataset '{key}': path '{entry.path}' not found "
                     f"(searched manifest dir and ${DATA_DIR_ENV})")
-            return ("entry", entry, resolved)
+            return replace(entry, path=str(found))
         if key in SURROGATES:
-            return ("synth", key)
+            return None
         if key in KNOWN_DATASETS:
-            found = self._search_known(key)
+            profile = KNOWN_DATASETS[key]
+            found = _first_file([root / file_name
+                                 for root in (*env_dirs, Path("data"), self.base_dir / "data")
+                                 for file_name in profile.file_names])
             if found is not None:
-                return ("file", found, KNOWN_DATASETS[key].label_column)
+                return DatasetEntry(key, str(found), profile.label_column)
             raise ConfigError(
                 f"dataset '{key}': no manifest entry and no CSV found under "
                 f"${DATA_DIR_ENV} or ./data; fetch the dataset (see README) or "
@@ -169,52 +211,15 @@ class RunManifest:
         raise ConfigError(f"unknown dataset '{key}' (no manifest entry, not a synth-* name)")
 
     def _load_dataset(self, key: str) -> Dataset:
-        located = self._locate(key)
-        if located[0] == "synth":
-            ds = resolve_synthetic(key)
-            assert ds is not None
-            return ds
-        if located[0] == "entry":
-            _, entry, resolved = located
-            ds = load_csv(resolved, entry.label_column, entry.label_map, name=key)
-            return min_max_scale(ds) if entry.scale else ds
-        _, found, column = located
-        return load_csv(found, column, name=key)
-
-    def _resolve_path(self, raw: str) -> Path | None:
-        p = Path(raw)
-        candidates = [p] if p.is_absolute() else [self.base_dir / p, *self._data_dirs(p)]
-        for c in candidates:
-            if c.is_file():
-                return c
-        return None
-
-    def _data_dirs(self, rel: Path) -> list[Path]:
-        env = os.environ.get(DATA_DIR_ENV)
-        return [Path(env) / rel] if env else []
-
-    def _search_known(self, key: str) -> Path | None:
-        roots = []
-        env = os.environ.get(DATA_DIR_ENV)
-        if env:
-            roots.append(Path(env))
-        roots.append(Path("data"))
-        roots.append(self.base_dir / "data")
-        for root in roots:
-            for candidate in KNOWN_DATASETS[key].file_names:
-                p = root / candidate
-                if p.is_file():
-                    return p
-        return None
+        entry = self._locate(key)
+        if entry is None:
+            return resolve_synthetic(key)
+        ds = load_csv(entry.path, entry.label_column, entry.label_map, name=key)
+        return min_max_scale(ds) if entry.scale else ds
 
 
-def _get(section, key: str, conv, default):
-    if key not in section:
-        return default
-    try:
-        return conv(section[key])
-    except ValueError:
-        raise ConfigError(f"key '{key}': cannot parse {section[key]!r}") from None
+def _first_file(candidates) -> Path | None:
+    return next((c for c in candidates if c.is_file()), None)
 
 
 def _str_list(raw: str) -> list[str]:
@@ -256,6 +261,7 @@ __all__ = [
     "DatasetEntry",
     "RunManifest",
     "DATA_DIR_ENV",
+    "SETTINGS",
     "TABLES_GRID_DATASETS",
     "TABLES_GRID_CLIENTS",
     "TABLES_GRID_ROUNDS",

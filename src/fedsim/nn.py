@@ -29,7 +29,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     batch_size: int = 32
     local_epochs: int = 5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.learning_rate < 0:
@@ -207,22 +206,19 @@ def sgd_epoch(
     X,
     y,
     cfg: TrainConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> tuple[DenseNetwork, float]:
     """One pass of mini-batch SGD over the training set.
 
     Returns a new network (the input is not mutated) and the mean per-sample
-    loss over the epoch. The shuffle order comes from ``rng``, or from
-    ``cfg.seed`` when no generator is supplied; the final short batch is
-    trained on like any other.
+    loss over the epoch. The shuffle order comes from ``rng``; the final
+    short batch is trained on like any other.
     """
     X = _check_batch(X, net.input_dim)
     y = _check_labels(y, X.shape[0])
     n = X.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty set")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
 
     net = net.copy()
     lr = cfg.learning_rate

@@ -82,6 +82,24 @@ class TestGridExpansion:
         m2 = RunManifest(master_seed=43)
         assert run_hash(m, cells) != run_hash(m2, expand_grid(m2))
 
+    def test_run_hash_keeps_its_values(self):
+        m = RunManifest()
+        assert run_hash(m, expand_grid(m)) == "1aacefb9be"
+        m = RunManifest()
+        _apply_overrides(m, parse_run(["--grid", "tables23", "--lr", "0.02", "--seed", "7"]))
+        assert run_hash(m, expand_grid(m)) == "9ae14dd66a"
+
+    def test_run_hash_covers_grid_dataset_entries(self, tmp_path):
+        entry = "[dataset.toy]\npath = toy.csv\nscale = {}\n"
+        digests = set()
+        for scale in ("true", "false"):
+            m = RunManifest.load(write(tmp_path, "[grid]\ndatasets = toy\n" + entry.format(scale)))
+            digests.add(run_hash(m, expand_grid(m)))
+        assert len(digests) == 2
+        # an entry outside the grid leaves the digest alone
+        m = RunManifest.load(write(tmp_path, entry.format("true")))
+        assert run_hash(m, expand_grid(m)) == "1aacefb9be"
+
 
 class TestRunCommand:
     def test_end_to_end_outputs(self, tmp_path, capsys):
@@ -162,6 +180,19 @@ class TestRunCommand:
                      flag, value, "--out", str(out)])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--threads", "0", "--threads"), ("--threads", "-3", "--threads"),
+        ("--clients", "3,3", "synth-small_c3_r1_fedavg"),
+    ])
+    def test_bad_grid_is_exit_two_before_any_output(self, tmp_path, capsys, flag, value, named):
+        out = tmp_path / "o"
+        code = main(["run", "--dataset", "synth-small", "--rounds", "1", "--repeats", "1",
+                     flag, value, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
         assert not out.exists()
 
     def test_divergent_training_is_exit_one_without_summary(self, tmp_path, caplog):

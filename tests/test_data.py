@@ -7,7 +7,6 @@ import pytest
 from fedsim.data import (
     Dataset,
     DatasetError,
-    SplitSpec,
     holdout_split,
     load_csv,
     min_max_scale,
@@ -105,60 +104,55 @@ class TestLoadCsv:
 class TestHoldoutSplit:
     def test_balanced_hundred_sample_arithmetic(self):
         ds = balanced_dataset(100)
-        train, test = holdout_split(ds, SplitSpec(holdout_fraction=0.2, seed=0))
+        train, test = holdout_split(ds, 0.2, 0)
         assert len(train) == 80
         assert len(test) == 20
         assert test.class_counts() == (10, 10)
 
     def test_published_row_count_fraction(self):
         ds = balanced_dataset(3799, pos_fraction=1260 / 3799)
-        _, test = holdout_split(ds, SplitSpec(holdout_fraction=0.2, seed=1))
+        _, test = holdout_split(ds, 0.2, 1)
         assert abs(len(test) - round(0.2 * 3799)) <= 1
 
     def test_same_seed_reproduces_indices(self):
         ds = balanced_dataset(200, seed=5)
-        a_train, a_test = holdout_split(ds, SplitSpec(seed=9))
-        b_train, b_test = holdout_split(ds, SplitSpec(seed=9))
+        a_train, a_test = holdout_split(ds, 0.2, 9)
+        b_train, b_test = holdout_split(ds, 0.2, 9)
         np.testing.assert_array_equal(a_test.labels, b_test.labels)
         np.testing.assert_array_equal(a_test.features, b_test.features)
         np.testing.assert_array_equal(a_train.features, b_train.features)
 
     def test_different_seed_differs(self):
         ds = balanced_dataset(200, seed=5)
-        _, a = holdout_split(ds, SplitSpec(seed=0))
-        _, b = holdout_split(ds, SplitSpec(seed=1))
+        _, a = holdout_split(ds, 0.2, 0)
+        _, b = holdout_split(ds, 0.2, 1)
         assert not np.array_equal(a.features, b.features)
 
     def test_stratified_ratio_within_one_sample(self):
         for seed in range(10):
             ds = balanced_dataset(437, seed=seed, pos_fraction=0.3)
-            _, test = holdout_split(ds, SplitSpec(holdout_fraction=0.2, seed=seed))
+            _, test = holdout_split(ds, 0.2, seed)
             benign, malware = ds.class_counts()
             tb, tm = test.class_counts()
             assert abs(tb - 0.2 * benign) <= 1
             assert abs(tm - 0.2 * malware) <= 1
 
-    def test_unstratified_size(self):
-        ds = balanced_dataset(123)
-        _, test = holdout_split(ds, SplitSpec(holdout_fraction=0.25, seed=0,
-                                              stratified=False))
-        assert len(test) == round(0.25 * 123)
-
     def test_too_few_samples_per_class(self):
         ds = balanced_dataset(20, pos_fraction=0.1)  # only 2 positives
         with pytest.raises(DatasetError, match=">= 5 samples"):
-            holdout_split(ds, SplitSpec())
+            holdout_split(ds, 0.2, 0)
 
     def test_train_and_test_partition_the_dataset(self):
         ds = balanced_dataset(150, seed=2)
-        train, test = holdout_split(ds, SplitSpec(seed=3))
+        train, test = holdout_split(ds, 0.2, 3)
         assert len(train) + len(test) == len(ds)
 
     def test_bad_fraction_rejected(self):
+        ds = balanced_dataset(100)
         with pytest.raises(ValueError):
-            SplitSpec(holdout_fraction=0.0)
+            holdout_split(ds, 0.0, 0)
         with pytest.raises(ValueError):
-            SplitSpec(holdout_fraction=1.0)
+            holdout_split(ds, 1.0, 0)
 
 
 class TestPartitionClients:

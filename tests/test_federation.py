@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from fedsim.aggregation import AggregationStrategy, PriorityIndex
-from fedsim.data import SplitSpec
 from fedsim.federation import (
     ClientState,
     ExperimentConfig,

@@ -1,13 +1,16 @@
 """Manifest parsing and dataset resolution tests."""
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from fedsim import manifest as manifest_module
 from fedsim.aggregation import AggregationStrategy
-from fedsim.manifest import ConfigError, RunManifest
+from fedsim.federation import ExperimentConfig
+from fedsim.manifest import SETTINGS, ConfigError, RunManifest
+from fedsim.nn import TrainConfig
 
 
 FULL_MANIFEST = """
@@ -77,6 +80,31 @@ class TestLoad:
         assert m.batch_size == 32
         assert m.local_epochs == 5
         assert m.master_seed == 42
+
+    def test_settings_are_fields_with_the_library_defaults(self):
+        library = {f.name: f.default for cls in (ExperimentConfig, TrainConfig) for f in fields(cls)}
+        manifest_defaults = {f.name: f.default for f in fields(RunManifest)}
+        for name in SETTINGS:
+            assert manifest_defaults[name] == library[name], name
+
+    def test_aliases_apply_and_the_canonical_key_wins(self, tmp_path):
+        m = RunManifest.load(write_manifest(tmp_path, "[defaults]\nlr = 0.05\nseed = 7\n"))
+        assert (m.learning_rate, m.master_seed) == (0.05, 7)
+        text = "[defaults]\nlearning_rate = 0.02\nlr = 0.05\nseed = 7\nmaster_seed = 9\n"
+        m = RunManifest.load(write_manifest(tmp_path, text))
+        assert (m.learning_rate, m.master_seed) == (0.02, 9)
+
+    @pytest.mark.parametrize("text, named", [
+        ("[defaults]\nlearning-rate = 50\n", "'learning-rate' in [defaults]"),
+        ("[default]\nalpha = 0.3\n", "[default]"),
+        ("[grid]\nclient = 5\n", "'client' in [grid]"),
+        ("[output]\ndirectory = out\n", "'directory' in [output]"),
+        ("[dataset.toy]\npath = toy.csv\nscaled = true\n", "'scaled' in [dataset.toy]"),
+    ], ids=["defaults-key", "section", "grid-key", "output-key", "dataset-key"])
+    def test_unknown_section_or_key_is_config_error(self, tmp_path, text, named):
+        with pytest.raises(ConfigError) as err:
+            RunManifest.load(write_manifest(tmp_path, text))
+        assert named in str(err.value)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

@@ -39,9 +39,9 @@ def finite_difference_grad(net, X, y, eps=1e-5):
     return grad
 
 
-def train_for_local_epochs(net, X, y, cfg):
-    """cfg.local_epochs SGD epochs on one shuffle stream seeded by cfg.seed; returns (net, last loss)."""
-    rng = np.random.default_rng(cfg.seed)
+def train_for_local_epochs(net, X, y, cfg, seed):
+    """cfg.local_epochs SGD epochs on one shuffle stream seeded by seed; returns (net, last loss)."""
+    rng = np.random.default_rng(seed)
     for _ in range(cfg.local_epochs):
         net, loss = sgd_epoch(net, X, y, cfg, rng)
     return net, loss
@@ -200,7 +200,7 @@ class TestSgd:
         before = net.to_vector()
         X = rng.normal(size=(20, 4))
         y = rng.integers(0, 2, size=20)
-        after, _ = sgd_epoch(net, X, y, TrainConfig(learning_rate=0.0, seed=1))
+        after, _ = sgd_epoch(net, X, y, TrainConfig(learning_rate=0.0), np.random.default_rng(1))
         assert np.array_equal(after.to_vector(), before)
 
     def test_single_sample_single_batch_is_one_gradient_step(self):
@@ -209,7 +209,8 @@ class TestSgd:
         y = np.array([1])
         _, grad = loss_and_gradient(net, X, y)
         expected = net.to_vector() - 0.1 * grad
-        stepped, _ = sgd_epoch(net, X, y, TrainConfig(learning_rate=0.1, batch_size=1, seed=0))
+        stepped, _ = sgd_epoch(net, X, y, TrainConfig(learning_rate=0.1, batch_size=1),
+                               np.random.default_rng(0))
         assert np.array_equal(stepped.to_vector(), expected)
 
     def test_input_network_is_not_mutated(self):
@@ -217,7 +218,7 @@ class TestSgd:
         net = init_network(3, [2], 5)
         before = net.to_vector()
         sgd_epoch(net, rng.normal(size=(10, 3)), rng.integers(0, 2, 10),
-                  TrainConfig(seed=0))
+                  TrainConfig(), np.random.default_rng(0))
         assert np.array_equal(net.to_vector(), before)
 
     def test_short_final_batch_is_trained_on(self):
@@ -227,7 +228,8 @@ class TestSgd:
         X = rng.normal(size=(5, 3))
         y = np.array([0, 1, 0, 1, 1])
         net = init_network(3, [], 6)
-        full, _ = sgd_epoch(net, X, y, TrainConfig(learning_rate=0.5, batch_size=4, seed=3))
+        full, _ = sgd_epoch(net, X, y, TrainConfig(learning_rate=0.5, batch_size=4),
+                            np.random.default_rng(3))
         # replay the same permutation by hand, stopping after the full batch
         perm = np.random.default_rng(3).permutation(5)
         partial = net.copy()
@@ -239,17 +241,17 @@ class TestSgd:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(40, 4))
         y = rng.integers(0, 2, size=40)
-        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=3, seed=21)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=3)
         net = init_network(4, [3], 9)
-        a, _ = train_for_local_epochs(net, X, y, cfg)
-        b, _ = train_for_local_epochs(net, X, y, cfg)
+        a, _ = train_for_local_epochs(net, X, y, cfg, 21)
+        b, _ = train_for_local_epochs(net, X, y, cfg, 21)
         assert np.array_equal(a.to_vector(), b.to_vector())
 
     def test_separable_toy_set_reaches_full_accuracy(self):
         ds = make_two_cluster(n_samples=200, seed=0)
         net = init_network(2, [], seed=1)
-        cfg = TrainConfig(learning_rate=0.5, batch_size=32, local_epochs=200, seed=2)
-        trained, _ = train_for_local_epochs(net, ds.features, ds.labels, cfg)
+        cfg = TrainConfig(learning_rate=0.5, batch_size=32, local_epochs=200)
+        trained, _ = train_for_local_epochs(net, ds.features, ds.labels, cfg, 2)
         pred = predict_labels(trained, ds.features)
         assert np.mean(pred == ds.labels) == 1.0
 
@@ -258,14 +260,14 @@ class TestSgd:
         X = rng.integers(0, 2, size=(100, 10)).astype(float)
         y = rng.integers(0, 2, size=100)
         net = init_network(10, [8, 4], 3)
-        trained, loss = train_for_local_epochs(net, X, y, TrainConfig(local_epochs=10, seed=4))
+        trained, loss = train_for_local_epochs(net, X, y, TrainConfig(local_epochs=10), 4)
         assert np.isfinite(trained.to_vector()).all()
         assert np.isfinite(loss)
 
     def test_empty_train_set_rejected(self):
         net = init_network(2, [], 0)
         with pytest.raises(ValueError):
-            sgd_epoch(net, np.zeros((0, 2)), np.zeros(0), TrainConfig())
+            sgd_epoch(net, np.zeros((0, 2)), np.zeros(0), TrainConfig(), np.random.default_rng(0))
 
 
 class TestPredictLabels:
