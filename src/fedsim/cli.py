@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from . import _blas
 from .aggregation import AggregationStrategy
 from .data import DatasetError
 from .federation import ExperimentConfig, ExperimentResult, run_experiment
@@ -210,10 +211,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from None
     digest = run_hash(manifest, cells)
     out_dir = Path(args.out) if args.out else manifest.out_dir
+    created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
 
     log.info("running %d grid cell(s), output under %s", len(cells), out_dir)
-    rows, results, timings = run_cells(manifest, cells, threads=args.threads)
+    try:
+        # Held across the grid so the thread count read here is the one training ran with.
+        with _blas.one_blas_thread() as blas_threads:
+            rows, results, timings = run_cells(manifest, cells, threads=args.threads)
+    except BaseException:
+        if created and not any(out_dir.iterdir()):  # leave no empty directory behind
+            out_dir.rmdir()
+        raise
 
     for cell, result in zip(cells, results):
         write_round_log(out_dir / f"rounds_{cell.slug()}_{digest}.csv", cell, result)
@@ -224,6 +233,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "wall_time_s": {slug: round(t, 3) for slug, t in timings.items()},
         "total_wall_time_s": round(sum(timings.values()), 3),
+        "blas": {"library": _blas.blas_library(), "threads": blas_threads},
     }
     (out_dir / f"meta_{digest}.json").write_text(json.dumps(meta, indent=2) + "\n")
 

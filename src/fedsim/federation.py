@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .aggregation import AggregationStrategy, PriorityIndex, dw_fedavg, fedavg, update_priority_index
 from .data import ClientShard, Dataset, holdout_split, partition_clients
 from .metrics import MetricSet, evaluate_scores
@@ -218,20 +219,22 @@ def run_experiment(
     Repeat r runs with seed ``master_seed + r``, which drives the holdout
     split, the client partition, the common initial model and every client's
     training streams. ``on_round(repeat, report)`` is invoked after each round
-    when given.
+    when given. OpenBLAS runs on one thread for the length of the call (see
+    ``fedsim._blas``); the caller's thread count is restored on return.
     """
     repeats: list[RepeatResult] = []
-    for r in range(cfg.repeats):
-        run_seed = cfg.master_seed + r
-        holdout, clients, params, idx = setup_repeat(cfg, dataset, run_seed)
-        reports: list[RoundReport] = []
-        for round_num in range(1, cfg.n_rounds + 1):
-            params, idx, report = run_round(
-                params, clients, idx, cfg,
-                holdout=holdout, run_seed=run_seed, round_num=round_num,
-            )
-            reports.append(report)
-            if on_round is not None:
-                on_round(r, report)
-        repeats.append(RepeatResult(repeat=r, run_seed=run_seed, rounds=reports))
+    with one_blas_thread():
+        for r in range(cfg.repeats):
+            run_seed = cfg.master_seed + r
+            holdout, clients, params, idx = setup_repeat(cfg, dataset, run_seed)
+            reports: list[RoundReport] = []
+            for round_num in range(1, cfg.n_rounds + 1):
+                params, idx, report = run_round(
+                    params, clients, idx, cfg,
+                    holdout=holdout, run_seed=run_seed, round_num=round_num,
+                )
+                reports.append(report)
+                if on_round is not None:
+                    on_round(r, report)
+            repeats.append(RepeatResult(repeat=r, run_seed=run_seed, rounds=reports))
     return ExperimentResult(config=cfg, repeats=repeats)

@@ -132,12 +132,17 @@ class RunManifest:
             name = section.split(".", 1)[1].strip().lower()
             if "path" not in sec:
                 raise ConfigError(f"{path}: [{section}] is missing the 'path' key")
+            try:
+                scale = sec.getboolean("scale", fallback=False)
+            except ValueError:
+                raise ConfigError(f"{path}: key 'scale' in [{section}]: expected true or false, "
+                                  f"got {sec['scale']!r}") from None
             m.datasets[name] = DatasetEntry(
                 name=name,
                 path=sec["path"],
                 label_column=sec.get("label_column", "class"),
                 label_map=_parse_label_map(sec.get("labels", "")) or None,
-                scale=sec.getboolean("scale", fallback=False),
+                scale=scale,
             )
 
         if parser.has_section("defaults"):
@@ -249,10 +254,9 @@ def _parse_label_map(raw: str) -> dict[str, int]:
         if ":" not in part:
             raise ConfigError(f"label mapping entry {part!r} is not 'text:0|1'")
         text, _, value = part.partition(":")
-        try:
-            mapping[text.strip()] = int(value)
-        except ValueError:
-            raise ConfigError(f"label mapping entry {part!r} is not 'text:0|1'") from None
+        if value.strip() not in ("0", "1"):
+            raise ConfigError(f"label mapping entry {part!r} maps to {value.strip()!r}, not 0 or 1")
+        mapping[text.strip()] = int(value)
     return mapping
 
 

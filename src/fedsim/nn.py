@@ -165,40 +165,50 @@ def init_network(input_dim: int, hidden_dims: list[int], seed: int) -> DenseNetw
     return net
 
 
-def _backward(net: DenseNetwork, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean BCE loss for one batch and its gradient as a flat vector in the canonical layout."""
+def _backward(net: DenseNetwork, X: np.ndarray, y: np.ndarray,
+              grad_views: tuple[list[np.ndarray], list[np.ndarray]]) -> float:
+    """Mean BCE loss for one batch; writes its gradient through ``grad_views``.
+
+    ``grad_views`` are the per-layer (weights, biases) views of a flat buffer
+    in the canonical layout, as built by ``_layer_views``.
+    """
     n = X.shape[0]
     acts = [X]
-    pre = []
     a = X
     for k in range(net.n_layers - 1):
-        z = a @ net.weights[k] + net.biases[k]
-        pre.append(z)
-        a = np.maximum(z, 0.0)
+        a = a @ net.weights[k]
+        a += net.biases[k]
+        np.maximum(a, 0.0, out=a)
         acts.append(a)
-    z_out = a @ net.weights[-1] + net.biases[-1]
+    z_out = a @ net.weights[-1]
+    z_out += net.biases[-1]
     prob = _sigmoid(z_out)
 
     clipped = np.clip(prob, PROB_CLIP, 1.0 - PROB_CLIP)
     y_col = y.reshape(-1, 1)
     loss = float(-np.mean(y_col * np.log(clipped) + (1.0 - y_col) * np.log(1.0 - clipped)))
 
-    grad = np.empty_like(net.params)
-    grad_w, grad_b = _layer_views(grad, net.layer_dims)
-    delta = (prob - y_col) / n  # d(mean BCE)/d(z_out) for the sigmoid output
+    grad_w, grad_b = grad_views
+    delta = prob  # prob is not read again, so delta takes over its buffer
+    delta -= y_col
+    delta /= n  # d(mean BCE)/d(z_out) for the sigmoid output
     for k in range(net.n_layers - 1, -1, -1):
         np.matmul(acts[k].T, delta, out=grad_w[k])
         np.sum(delta, axis=0, out=grad_b[k])
         if k > 0:
-            delta = (delta @ net.weights[k].T) * (pre[k - 1] > 0.0)
-    return loss, grad
+            # a ReLU unit passes gradient where its output is positive
+            delta = delta @ net.weights[k].T
+            np.multiply(delta, acts[k] > 0.0, out=delta)
+    return loss
 
 
 def loss_and_gradient(net: DenseNetwork, batch, labels) -> tuple[float, np.ndarray]:
     """Mean binary cross-entropy and its gradient as a flat parameter vector."""
     X = _check_batch(batch, net.input_dim)
     y = _check_labels(labels, X.shape[0])
-    return _backward(net, X, y)
+    grad = np.empty_like(net.params)
+    loss = _backward(net, X, y, _layer_views(grad, net.layer_dims))
+    return loss, grad
 
 
 def sgd_epoch(
@@ -212,7 +222,8 @@ def sgd_epoch(
 
     Returns a new network (the input is not mutated) and the mean per-sample
     loss over the epoch. The shuffle order comes from ``rng``; the final
-    short batch is trained on like any other.
+    short batch is trained on like any other. One gradient buffer serves
+    every batch, and the update is applied in place.
     """
     X = _check_batch(X, net.input_dim)
     y = _check_labels(y, X.shape[0])
@@ -222,13 +233,15 @@ def sgd_epoch(
 
     net = net.copy()
     lr = cfg.learning_rate
+    grad = np.empty_like(net.params)
+    grad_views = _layer_views(grad, net.layer_dims)
     perm = rng.permutation(n)
     loss_sum = 0.0
     for start in range(0, n, cfg.batch_size):
         idx = perm[start : start + cfg.batch_size]
-        loss, grad = _backward(net, X[idx], y[idx])
-        loss_sum += loss * idx.size
-        net.params -= lr * grad
+        loss_sum += _backward(net, X[idx], y[idx], grad_views) * idx.size
+        grad *= lr
+        net.params -= grad
     return net, loss_sum / n
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fedsim import _blas
 from fedsim.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -204,6 +205,39 @@ class TestRunCommand:
         assert "client 1: local training diverged" in caplog.text
         assert "learning rate 50.0" in caplog.text
         assert not list(out.glob("summary_*.csv"))
+        assert not out.exists()  # the directory this run created is removed again
+
+    def test_runtime_failure_keeps_an_output_directory_it_did_not_create(self, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        code = main(["run", "--dataset", "synth-small", "--rounds", "1", "--repeats", "1",
+                     "--strategy", "fedavg", "--seed", "43", "--lr", "50", "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        assert out.is_dir()
+
+    @pytest.mark.parametrize("entry, named", [
+        ("scale = maybe", "'scale' in [dataset.toy]"),
+        ("labels = B:0, S:2", "'S:2'"),
+    ])
+    def test_bad_dataset_entry_is_exit_two_before_any_output(self, tmp_path, capsys,
+                                                             entry, named):
+        (tmp_path / "toy.csv").write_text("f0,class\n1,B\n0,S\n", encoding="utf-8")
+        manifest = write(tmp_path, "[grid]\ndatasets = toy\n\n"
+                                   f"[dataset.toy]\npath = toy.csv\n{entry}\n")
+        out = tmp_path / "o"
+        code = main(["run", "--manifest", str(manifest), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
+
+    def test_meta_records_the_blas_training_ran_with(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", "--dataset", "synth-small", "--rounds", "1", "--repeats", "1",
+                     "--clients", "2", "--out", str(out)]) == EXIT_OK
+        blas = json.loads(next(out.glob("meta_*.json")).read_text())["blas"]
+        library = _blas.blas_library()
+        assert blas == {"library": library, "threads": 1 if library else None}
 
 
 def make_summary(tmp_path, name, rows):

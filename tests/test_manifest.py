@@ -130,6 +130,20 @@ class TestLoad:
         with pytest.raises(ConfigError, match="empty"):
             RunManifest.load(write_manifest(tmp_path, text))
 
+    def test_non_boolean_scale_is_config_error(self, tmp_path):
+        text = "[dataset.x]\npath = x.csv\nscale = maybe\n"
+        with pytest.raises(ConfigError) as err:
+            RunManifest.load(write_manifest(tmp_path, text))
+        assert "'scale' in [dataset.x]" in str(err.value) and "maybe" in str(err.value)
+
+    @pytest.mark.parametrize("labels, entry", [
+        ("B:0, S:2", "S:2"), ("B:0, S:1, X:2", "X:2"), ("B:-1, S:1", "B:-1"),
+    ])
+    def test_label_other_than_zero_or_one_is_config_error(self, tmp_path, labels, entry):
+        text = f"[dataset.x]\npath = x.csv\nlabels = {labels}\n"
+        with pytest.raises(ConfigError, match=f"label mapping entry '{entry}'"):
+            RunManifest.load(write_manifest(tmp_path, text))
+
     def test_bad_label_map_rejected(self, tmp_path):
         text = "[dataset.x]\npath = x.csv\nlabels = B=0\n"
         with pytest.raises(ConfigError, match="label mapping"):

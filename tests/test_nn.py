@@ -237,6 +237,28 @@ class TestSgd:
         partial.set_vector(partial.to_vector() - 0.5 * g)
         assert not np.array_equal(full.to_vector(), partial.to_vector())
 
+    def test_epochs_match_a_reference_loop_bit_for_bit(self):
+        # 70 rows at batch_size 32 leave a 6-row tail batch in every epoch
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(70, 5))
+        y = rng.integers(0, 2, size=70)
+        cfg = TrainConfig(learning_rate=0.3, batch_size=32)
+        net = init_network(5, [6, 4], 7)
+        trained, ref = net, net.copy()
+        train_rng, ref_rng = np.random.default_rng(14), np.random.default_rng(14)
+        for _ in range(3):
+            trained, loss = sgd_epoch(trained, X, y, cfg, train_rng)
+            perm = ref_rng.permutation(70)
+            ref_loss = 0.0
+            for start in range(0, 70, 32):
+                idx = perm[start:start + 32]
+                batch_loss, grad = loss_and_gradient(ref, X[idx], y[idx])
+                ref_loss += batch_loss * idx.size
+                ref.params -= cfg.learning_rate * grad
+            assert trained.params.tobytes() == ref.params.tobytes()
+            assert np.float64(loss).tobytes() == np.float64(ref_loss / 70).tobytes()
+        assert not np.array_equal(trained.params, net.params)
+
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(40, 4))
