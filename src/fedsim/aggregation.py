@@ -22,6 +22,9 @@ class AggregationStrategy(Enum):
     FEDAVG = "fedavg"
     DW_FEDAVG = "dw-fedavg"
 
+    def __str__(self) -> str:
+        return self.value
+
     @classmethod
     def parse(cls, name: str) -> "AggregationStrategy":
         key = name.strip().lower().replace("_", "-")

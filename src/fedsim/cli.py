@@ -10,26 +10,21 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import _blas
 from .aggregation import AggregationStrategy
 from .data import DatasetError
 from .federation import ExperimentConfig, ExperimentResult, run_experiment
-from .manifest import (
-    SETTINGS,
-    ConfigError,
-    RunManifest,
-    TABLES_GRID_CLIENTS,
-    TABLES_GRID_DATASETS,
-    TABLES_GRID_ROUNDS,
-)
+from .manifest import GRID_AXES, GRID_PRESETS, SETTINGS, ConfigError, RunManifest
 from .metrics import METRIC_NAMES
 from .nn import TrainConfig
 
@@ -38,8 +33,6 @@ log = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
-
-_GRID_PRESETS = ("tables23",)
 
 
 @dataclass(frozen=True)
@@ -55,35 +48,27 @@ class GridCell:
         return f"{self.dataset}_c{self.clients}_r{self.rounds}_{self.strategy.value}"
 
 
+# The columns that name a cell in summary and compare CSVs; the strategy comes last.
+CELL_KEY = tuple(f.name for f in fields(GridCell))
+_TRAIN_SETTINGS = [name for name in SETTINGS if name in {f.name for f in fields(TrainConfig)}]
+
+
 def expand_grid(manifest: RunManifest) -> list[GridCell]:
-    """Cartesian product of the manifest grid, in deterministic order."""
-    return [
-        GridCell(d, c, r, s)
-        for d in manifest.grid_datasets
-        for c in manifest.grid_clients
-        for r in manifest.grid_rounds
-        for s in manifest.grid_strategies
-    ]
+    """Cartesian product of the manifest grid in GRID_AXES order; a repeated cell is a ConfigError."""
+    axes = [getattr(manifest, f"grid_{axis}") for axis in GRID_AXES]
+    cells = [GridCell(*values) for values in itertools.product(*axes)]
+    repeated = [cell.slug() for i, cell in enumerate(cells) if cell in cells[:i]]
+    if repeated:  # it would write a duplicate summary row and overwrite its round log
+        raise ConfigError(f"grid cell {repeated[0]} is listed more than once")
+    return cells
 
 
 def cell_config(manifest: RunManifest, cell: GridCell) -> ExperimentConfig:
-    return ExperimentConfig(
-        dataset=cell.dataset,
-        n_clients=cell.clients,
-        n_rounds=cell.rounds,
-        strategy=cell.strategy,
-        alpha=manifest.alpha,
-        train=TrainConfig(
-            learning_rate=manifest.learning_rate,
-            batch_size=manifest.batch_size,
-            local_epochs=manifest.local_epochs,
-        ),
-        holdout_fraction=manifest.holdout_fraction,
-        local_test_fraction=manifest.local_test_fraction,
-        repeats=manifest.repeats,
-        master_seed=manifest.master_seed,
-        hidden_dims=manifest.hidden_dims,
-    )
+    """The cell's experiment; each SETTINGS value goes to the config field of its name."""
+    settings = {name: getattr(manifest, name) for name in SETTINGS}
+    train = TrainConfig(**{name: settings.pop(name) for name in _TRAIN_SETTINGS})
+    return ExperimentConfig(dataset=cell.dataset, n_clients=cell.clients, n_rounds=cell.rounds,
+                            strategy=cell.strategy, train=train, **settings)
 
 
 def run_hash(manifest: RunManifest, cells: list[GridCell]) -> str:
@@ -99,12 +84,7 @@ def run_hash(manifest: RunManifest, cells: list[GridCell]) -> str:
 
 
 def summary_row(cell: GridCell, result: ExperimentResult) -> dict[str, str]:
-    row = {
-        "dataset": cell.dataset,
-        "clients": str(cell.clients),
-        "rounds": str(cell.rounds),
-        "strategy": cell.strategy.value,
-    }
+    row = {name: str(getattr(cell, name)) for name in CELL_KEY}
     stats = result.summary()
     for metric in METRIC_NAMES:
         mean, std = stats[metric]
@@ -113,9 +93,7 @@ def summary_row(cell: GridCell, result: ExperimentResult) -> dict[str, str]:
     return row
 
 
-SUMMARY_FIELDS = ["dataset", "clients", "rounds", "strategy"] + [
-    f"{m}_{s}" for m in METRIC_NAMES for s in ("mean", "std")
-]
+SUMMARY_FIELDS = [*CELL_KEY, *(f"{m}_{s}" for m in METRIC_NAMES for s in ("mean", "std"))]
 
 
 def write_round_log(path: Path, cell: GridCell, result: ExperimentResult) -> None:
@@ -156,18 +134,17 @@ def format_table(headers: list[str], rows: list[dict[str, str]]) -> str:
 
 def format_summary_table(rows: list[dict[str, str]]) -> str:
     """Aligned plain-text table of the summary rows."""
-    headers = ["dataset", "clients", "rounds", "strategy"] + [
-        f"{m}_mean" for m in METRIC_NAMES
-    ]
-    return format_table(headers, rows)
+    return format_table([*CELL_KEY, *(f"{m}_mean" for m in METRIC_NAMES)], rows)
 
 
 def run_cells(
-    manifest: RunManifest, cells: list[GridCell], threads: int = 1
-) -> tuple[list[dict[str, str]], list[ExperimentResult], dict[str, float]]:
-    """Run every cell; returns (summary rows, results, wall times by slug)."""
-    timings: dict[str, float] = {}
+    manifest: RunManifest, cells: list[GridCell], threads: int = 1,
+    on_cell: Callable[[GridCell, ExperimentResult], None] | None = None,
+) -> tuple[list[dict[str, str]], dict[str, float]]:
+    """Run every cell; returns (summary rows, wall times by slug).
 
+    ``on_cell(cell, result)`` is called as each cell finishes, on the thread that ran it.
+    """
     def one(cell: GridCell) -> tuple[GridCell, ExperimentResult, float]:
         dataset = manifest.resolve_dataset(cell.dataset)
         cfg = cell_config(manifest, cell)
@@ -176,6 +153,8 @@ def run_cells(
         elapsed = time.perf_counter() - start
         log.info("done %-40s %6.1fs  acc=%.4f", cell.slug(), elapsed,
                  result.summary()["accuracy"][0])
+        if on_cell is not None:
+            on_cell(cell, result)
         return cell, result, elapsed
 
     if threads > 1 and len(cells) > 1:
@@ -184,13 +163,8 @@ def run_cells(
     else:
         outcomes = [one(cell) for cell in cells]
 
-    rows = []
-    results = []
-    for cell, result, elapsed in outcomes:
-        rows.append(summary_row(cell, result))
-        results.append(result)
-        timings[cell.slug()] = elapsed
-    return rows, results, timings
+    rows = [summary_row(cell, result) for cell, result, _ in outcomes]
+    return rows, {cell.slug(): elapsed for cell, _, elapsed in outcomes}
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -201,9 +175,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     manifest.validate_grid_datasets()
 
     cells = expand_grid(manifest)
-    repeated = [cell.slug() for i, cell in enumerate(cells) if cell in cells[:i]]
-    if repeated:  # it would write a duplicate summary row and overwrite its round log
-        raise ConfigError(f"grid cell {repeated[0]} is listed more than once")
     try:  # a bad hyperparameter fails here, before any output is written or cell runs
         for cell in cells:
             cell_config(manifest, cell)
@@ -214,18 +185,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    def save_round_log(cell: GridCell, result: ExperimentResult) -> None:
+        # written as the cell finishes, so a later cell's failure keeps it
+        write_round_log(out_dir / f"rounds_{cell.slug()}_{digest}.csv", cell, result)
+
     log.info("running %d grid cell(s), output under %s", len(cells), out_dir)
     try:
         # Held across the grid so the thread count read here is the one training ran with.
         with _blas.one_blas_thread() as blas_threads:
-            rows, results, timings = run_cells(manifest, cells, threads=args.threads)
+            rows, timings = run_cells(manifest, cells, threads=args.threads,
+                                      on_cell=save_round_log)
     except BaseException:
         if created and not any(out_dir.iterdir()):  # leave no empty directory behind
             out_dir.rmdir()
         raise
 
-    for cell, result in zip(cells, results):
-        write_round_log(out_dir / f"rounds_{cell.slug()}_{digest}.csv", cell, result)
     summary_path = out_dir / f"summary_{digest}.csv"
     write_summary_csv(summary_path, rows)
     meta = {
@@ -259,14 +233,14 @@ def compare_rows(
 ) -> list[dict[str, str]]:
     """Pair rows of two summaries and report B minus A in percentage points.
 
-    Rows join on (dataset, clients, rounds, strategy) when both files cover
-    the same strategies; otherwise the strategy column is dropped from the
-    key so a FedAvg-only file lines up against a DW-only file. Rows of A
-    with no partner in B are a key mismatch.
+    Rows join on CELL_KEY (dataset, clients, rounds, strategy) when both
+    files cover the same strategies; otherwise the strategy column is dropped
+    from the key so a FedAvg-only file lines up against a DW-only file. Rows
+    of A with no partner in B are a key mismatch.
     """
-    full = ("dataset", "clients", "rounds", "strategy")
-    strategies_differ = {r["strategy"] for r in rows_a} != {r["strategy"] for r in rows_b}
-    key_fields = full[:-1] if strategies_differ else full
+    *shared, strategy = CELL_KEY
+    strategies_differ = {r[strategy] for r in rows_a} != {r[strategy] for r in rows_b}
+    key_fields = shared if strategies_differ else CELL_KEY
 
     def key(row):
         return tuple(row[f] for f in key_fields)
@@ -280,13 +254,8 @@ def compare_rows(
         if row_b is None:
             raise ConfigError(
                 f"key mismatch: no row in the second summary matches {key(row_a)}")
-        delta = {
-            "dataset": row_a["dataset"],
-            "clients": row_a["clients"],
-            "rounds": row_a["rounds"],
-            "strategy_a": row_a["strategy"],
-            "strategy_b": row_b["strategy"],
-        }
+        delta = {f: row_a[f] for f in shared}
+        delta[f"{strategy}_a"], delta[f"{strategy}_b"] = row_a[strategy], row_b[strategy]
         for metric in METRIC_NAMES:
             gap = float(row_b[f"{metric}_mean"]) - float(row_a[f"{metric}_mean"])
             delta[f"{metric}_delta_pp"] = f"{gap * 100.0:+.3f}"
@@ -314,39 +283,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _apply_overrides(manifest: RunManifest, args: argparse.Namespace) -> None:
-    if args.grid:
-        manifest.grid_datasets = list(TABLES_GRID_DATASETS)
-        manifest.grid_clients = list(TABLES_GRID_CLIENTS)
-        manifest.grid_rounds = list(TABLES_GRID_ROUNDS)
-        manifest.grid_strategies = [AggregationStrategy.FEDAVG, AggregationStrategy.DW_FEDAVG]
-    if args.datasets:
-        manifest.grid_datasets = [d.strip().lower() for d in args.datasets.split(",") if d.strip()]
-    if args.clients:
-        manifest.grid_clients = _parse_int_csv(args.clients, "--clients")
-    if args.rounds:
-        manifest.grid_rounds = _parse_int_csv(args.rounds, "--rounds")
-    if args.strategy:
-        try:
-            manifest.grid_strategies = [
-                AggregationStrategy.parse(s) for s in args.strategy.split(",") if s.strip()
-            ]
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    for axis, parse in GRID_AXES.items():
+        if args.grid:
+            setattr(manifest, f"grid_{axis}", list(GRID_PRESETS[args.grid][axis]))
+        if getattr(args, axis) is not None:
+            setattr(manifest, f"grid_{axis}", parse(getattr(args, axis), f"--{axis}"))
     for name in SETTINGS:
         if getattr(args, name, None) is not None:
             setattr(manifest, name, getattr(args, name))
-    if not manifest.grid_datasets:
-        raise ConfigError("experiment grid has no datasets")
-
-
-def _parse_int_csv(raw: str, flag: str) -> list[int]:
-    try:
-        values = [int(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"{flag}: expected comma-separated integers, got {raw!r}") from None
-    if not values:
-        raise ConfigError(f"{flag}: empty value")
-    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated dataset names (overrides the manifest grid)")
     run.add_argument("--clients", help="comma-separated client counts, e.g. 5,10,15")
     run.add_argument("--rounds", help="comma-separated round counts, e.g. 10,20")
-    run.add_argument("--strategy", "--strategies", dest="strategy",
+    run.add_argument("--strategy", "--strategies", dest="strategies",
                      help="comma-separated strategies: fedavg, dw-fedavg")
     run.add_argument("--alpha", type=float, help="priority reward/penalty factor")
     run.add_argument("--lr", dest="learning_rate", metavar="LR", type=float,
@@ -373,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", dest="master_seed", metavar="SEED", type=int,
                      help="master seed (repeat r uses seed+r)")
     run.add_argument("--out", help="output directory (default from manifest)")
-    run.add_argument("--grid", choices=_GRID_PRESETS,
+    run.add_argument("--grid", choices=GRID_PRESETS,
                      help="preset grid: tables23 = 4 datasets x {5,10,15} clients "
                           "x {10,20} rounds x both strategies")
     run.add_argument("--threads", type=int, default=1,
@@ -415,6 +359,8 @@ __all__ = [
     "EXIT_RUNTIME",
     "EXIT_CONFIG",
     "GridCell",
+    "CELL_KEY",
+    "SUMMARY_FIELDS",
     "expand_grid",
     "cell_config",
     "run_hash",

@@ -225,7 +225,8 @@ def holdout_split(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dat
     """Split into (train, test) with |test| ~= fraction * |ds|, drawn class by class.
 
     Draws round(fraction * n_c) samples per class, keeping class ratios within
-    one sample per class; it requires at least 5 samples of each class.
+    one sample per class; it requires at least 5 samples of each class and a
+    fraction that draws at least one of each.
     Deterministic for a fixed seed.
     """
     if not 0.0 < fraction < 1.0:
@@ -235,6 +236,10 @@ def holdout_split(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dat
         raise DatasetError(
             f"{ds.name}: need >= 5 samples per class for a holdout split "
             f"(got benign={benign}, malware={malware})")
+    for cls, count in enumerate((benign, malware)):
+        if round(fraction * count) == 0:
+            raise DatasetError(f"{ds.name}: holdout fraction {fraction} draws no sample of "
+                               f"class {cls} ({count} samples)")
     rng = np.random.default_rng(seed)
     test_idx = np.sort(_per_class_test_indices(ds.labels, fraction, rng, clamp=False))
     mask = np.ones(len(ds), dtype=bool)

@@ -19,7 +19,7 @@ import numpy as np
 from ._blas import one_blas_thread
 from .aggregation import AggregationStrategy, PriorityIndex, dw_fedavg, fedavg, update_priority_index
 from .data import ClientShard, Dataset, holdout_split, partition_clients
-from .metrics import MetricSet, evaluate_scores
+from .metrics import METRIC_NAMES, MetricSet, evaluate_scores
 from .nn import DenseNetwork, TrainConfig, init_network, predict_labels, sgd_epoch
 
 # spawn-key domains for deriving independent RNG streams from one run seed
@@ -143,7 +143,7 @@ class ExperimentResult:
         """metric name -> (mean, population std) of final-round global metrics."""
         out: dict[str, tuple[float, float]] = {}
         finals = [r.final_metrics.as_dict() for r in self.repeats]
-        for name in ("accuracy", "f1", "auc", "fpr"):
+        for name in METRIC_NAMES:
             vals = np.array([f[name] for f in finals])
             out[name] = (float(vals.mean()), float(vals.std()))
         return out

@@ -34,18 +34,48 @@ log = logging.getLogger(__name__)
 
 DATA_DIR_ENV = "FEDSIM_DATA_DIR"
 
-TABLES_GRID_DATASETS = tuple(KNOWN_DATASETS)
-TABLES_GRID_CLIENTS = (5, 10, 15)
-TABLES_GRID_ROUNDS = (10, 20)
-
 
 class ConfigError(ValueError):
     """Invalid manifest contents or unresolvable dataset references."""
 
 
-def _hidden_dims(raw: str) -> tuple[int, ...]:
-    return tuple(_int_list(raw, "hidden_dims"))
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
+
+def _axis(item: Callable[[str], object]) -> Callable[[str, str], list]:
+    """Parser of one grid axis: a non-empty comma-separated list of ``item`` values.
+
+    ``where`` (a flag or a manifest key) leads every error message.
+    """
+    def parse(raw: str, where: str) -> list:
+        parts = _str_list(raw)
+        if not parts:
+            raise ConfigError(f"{where}: empty list")
+        try:
+            return [item(part) for part in parts]
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    return parse
+
+
+# The grid's axes in GridCell field order: each name is a [grid] key, the
+# destination of its `fedsim run` flag and, prefixed with grid_, a
+# RunManifest field; the value parses its text.
+GRID_AXES: dict[str, Callable[[str, str], list]] = {
+    "datasets": _axis(str),
+    "clients": _axis(_integer),
+    "rounds": _axis(_integer),
+    "strategies": _axis(AggregationStrategy.parse),
+}
+# Named grids for `fedsim run --grid`: the value of every axis.
+GRID_PRESETS = {
+    "tables23": {"datasets": tuple(KNOWN_DATASETS), "clients": (5, 10, 15), "rounds": (10, 20),
+                 "strategies": tuple(AggregationStrategy)},
+}
 
 # The run settings: each name is a RunManifest field, a [defaults] key, the
 # destination of its `fedsim run` flag (where it has one) and a key of the run
@@ -59,14 +89,14 @@ SETTINGS: dict[str, Callable[[str], object]] = {
     "master_seed": int,
     "holdout_fraction": float,
     "local_test_fraction": float,
-    "hidden_dims": _hidden_dims,
+    "hidden_dims": lambda raw: tuple(int(part) for part in _str_list(raw)),
 }
 # Shorter [defaults] spellings of two settings.
 _ALIASES = {"lr": "learning_rate", "seed": "master_seed"}
 
 _SECTION_KEYS = {
     "defaults": (*SETTINGS, *_ALIASES),
-    "grid": ("datasets", "clients", "rounds", "strategies"),
+    "grid": tuple(GRID_AXES),
     "output": ("dir",),
     "dataset.*": ("path", "label_column", "labels", "scale"),
 }
@@ -89,8 +119,7 @@ class RunManifest:
     grid_datasets: list[str] = field(default_factory=lambda: ["synth-small"])
     grid_clients: list[int] = field(default_factory=lambda: [5])
     grid_rounds: list[int] = field(default_factory=lambda: [10])
-    grid_strategies: list[AggregationStrategy] = field(
-        default_factory=lambda: [AggregationStrategy.FEDAVG, AggregationStrategy.DW_FEDAVG])
+    grid_strategies: list[AggregationStrategy] = field(default_factory=lambda: list(AggregationStrategy))
     alpha: float = ExperimentConfig.alpha
     learning_rate: float = TrainConfig.learning_rate
     batch_size: int = TrainConfig.batch_size
@@ -155,19 +184,10 @@ class RunManifest:
                 except ValueError:
                     raise ConfigError(f"key '{key}': cannot parse {d[key]!r}") from None
         if parser.has_section("grid"):
-            g = parser["grid"]
-            if "datasets" in g:
-                m.grid_datasets = _str_list(g["datasets"])
-            if "clients" in g:
-                m.grid_clients = _int_list(g["clients"], "clients")
-            if "rounds" in g:
-                m.grid_rounds = _int_list(g["rounds"], "rounds")
-            if "strategies" in g:
-                m.grid_strategies = [_parse_strategy(s) for s in _str_list(g["strategies"])]
+            for axis, raw in parser["grid"].items():
+                setattr(m, f"grid_{axis}", GRID_AXES[axis](raw, f"{path}: [grid] {axis}"))
         if parser.has_section("output") and "dir" in parser["output"]:
             m.out_dir = Path(parser["output"]["dir"])
-        if not m.grid_datasets or not m.grid_clients or not m.grid_rounds or not m.grid_strategies:
-            raise ConfigError(f"{path}: experiment grid must not be empty")
         return m
 
     def validate_grid_datasets(self) -> None:
@@ -231,20 +251,6 @@ def _str_list(raw: str) -> list[str]:
     return [part.strip().lower() for part in raw.split(",") if part.strip()]
 
 
-def _int_list(raw: str, what: str) -> list[int]:
-    try:
-        return [int(part) for part in _str_list(raw)]
-    except ValueError:
-        raise ConfigError(f"{what}: expected comma-separated integers, got {raw!r}") from None
-
-
-def _parse_strategy(name: str) -> AggregationStrategy:
-    try:
-        return AggregationStrategy.parse(name)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _parse_label_map(raw: str) -> dict[str, int]:
     mapping: dict[str, int] = {}
     for part in raw.split(","):
@@ -266,7 +272,6 @@ __all__ = [
     "RunManifest",
     "DATA_DIR_ENV",
     "SETTINGS",
-    "TABLES_GRID_DATASETS",
-    "TABLES_GRID_CLIENTS",
-    "TABLES_GRID_ROUNDS",
+    "GRID_AXES",
+    "GRID_PRESETS",
 ]

@@ -5,7 +5,7 @@ and operate on plain numpy arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -38,10 +38,10 @@ class MetricSet:
     fpr: float
 
     def as_dict(self) -> dict[str, float]:
-        return {"accuracy": self.accuracy, "f1": self.f1, "auc": self.auc, "fpr": self.fpr}
+        return asdict(self)
 
 
-METRIC_NAMES = ("accuracy", "f1", "auc", "fpr")
+METRIC_NAMES = tuple(f.name for f in fields(MetricSet))
 
 
 def _as_binary(vec, what: str) -> np.ndarray:

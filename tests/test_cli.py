@@ -1,10 +1,12 @@
 """CLI tests: grid expansion, output files, exit codes and the compare tool."""
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from fedsim import _blas
+from fedsim import _blas, cli
 from fedsim.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -186,6 +188,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("flag, value, named", [
         ("--threads", "0", "--threads"), ("--threads", "-3", "--threads"),
         ("--clients", "3,3", "synth-small_c3_r1_fedavg"),
+        ("--strategies", ",", "--strategies"), ("--datasets", ",", "--datasets"),
     ])
     def test_bad_grid_is_exit_two_before_any_output(self, tmp_path, capsys, flag, value, named):
         out = tmp_path / "o"
@@ -206,6 +209,36 @@ class TestRunCommand:
         assert "learning rate 50.0" in caplog.text
         assert not list(out.glob("summary_*.csv"))
         assert not out.exists()  # the directory this run created is removed again
+
+    def test_finished_round_logs_survive_a_later_cell_failure(self, tmp_path, monkeypatch):
+        argv = ["run", "--dataset", "synth-small", "--clients", "2,3", "--rounds", "1",
+                "--repeats", "1", "--strategy", "fedavg"]
+        clean = tmp_path / "clean"
+        assert main([*argv, "--out", str(clean)]) == EXIT_OK
+        real, calls = cli.run_experiment, []
+
+        def fail_second_cell(cfg, dataset):
+            calls.append(cfg.n_clients)
+            if len(calls) == 2:
+                raise RuntimeError("second cell failed")
+            return real(cfg, dataset)
+
+        monkeypatch.setattr(cli, "run_experiment", fail_second_cell)
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == EXIT_RUNTIME
+        assert calls == [2, 3]
+        first = next(clean.glob("rounds_synth-small_c2_*.csv"))
+        assert [p.name for p in out.iterdir()] == [first.name]  # no summary, meta or second log
+        assert (out / first.name).read_bytes() == first.read_bytes()
+
+    def test_holdout_fraction_that_draws_no_class_sample_is_exit_two(self, tmp_path, capsys):
+        manifest = write(tmp_path, "[defaults]\nholdout_fraction = 0.001\nrepeats = 1\n")
+        out = tmp_path / "o"
+        code = main(["run", "--manifest", str(manifest), "--rounds", "1", "--clients", "2",
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "holdout fraction 0.001 draws no sample of class" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_runtime_failure_keeps_an_output_directory_it_did_not_create(self, tmp_path):
         out = tmp_path / "o"
@@ -327,6 +360,18 @@ class TestCompareCommand:
         bad.write_text("a,b\n1,2\n")
         with pytest.raises(ConfigError, match="not a summary"):
             load_summary(bad)
+
+
+class TestDocs:
+    def test_readme_option_table_lists_exactly_the_run_flags(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| option | meaning | default |\n", 1)[1].split("\n\n", 1)[0]
+        documented = {flag for line in table.splitlines()
+                      for flag in re.findall(r"--[a-z][a-z-]*", line.split("|")[1])}
+        run = build_parser()._subparsers._group_actions[0].choices["run"]
+        flags = {opt for action in run._actions for opt in action.option_strings
+                 if opt.startswith("--") and opt != "--help"}
+        assert documented == flags
 
 
 class TestFormatting:

@@ -142,6 +142,12 @@ class TestHoldoutSplit:
         with pytest.raises(DatasetError, match=">= 5 samples"):
             holdout_split(ds, 0.2, 0)
 
+    @pytest.mark.parametrize("fraction, cls", [(0.001, 0), (0.004, 1)])
+    def test_fraction_that_draws_no_sample_of_a_class(self, fraction, cls):
+        ds = balanced_dataset(500, pos_fraction=0.2)  # 400 benign, 100 malware
+        with pytest.raises(DatasetError, match=f"fraction {fraction} draws no sample of class {cls}"):
+            holdout_split(ds, fraction, 0)
+
     def test_train_and_test_partition_the_dataset(self):
         ds = balanced_dataset(150, seed=2)
         train, test = holdout_split(ds, 0.2, 3)

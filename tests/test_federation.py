@@ -147,6 +147,28 @@ class TestRunExperiment:
         assert [r.run_seed for r in result.repeats] == [20, 21, 22]
 
 
+class TestPoorClient:
+    """The paper's motivating case: one client whose local model is poor."""
+
+    def final_round(self, strategy):
+        ds = resolve_synthetic("synth-malgenome")
+        cfg = ExperimentConfig(dataset=ds.name, n_clients=5, n_rounds=10, strategy=strategy,
+                               repeats=1, master_seed=42)
+        holdout, clients, params, idx = setup_repeat(cfg, ds, run_seed=42)
+        # client 0 trains on flipped labels; its local test split stays clean
+        clients[0].shard.train.labels = 1 - clients[0].shard.train.labels
+        for round_num in range(1, cfg.n_rounds + 1):
+            params, idx, report = run_round(params, clients, idx, cfg, holdout=holdout,
+                                            run_seed=42, round_num=round_num)
+        return report
+
+    def test_dw_fedavg_down_weights_a_client_with_flipped_labels(self):
+        fedavg = self.final_round(AggregationStrategy.FEDAVG)
+        dw = self.final_round(AggregationStrategy.DW_FEDAVG)
+        assert dw.global_metrics.accuracy >= fedavg.global_metrics.accuracy
+        assert int(np.argmin(dw.betas_after_update)) == 0
+
+
 class TestClientState:
     def test_local_update_returns_vector_and_scalar_accuracy(self, small_dataset):
         cfg = small_config()

@@ -1,4 +1,5 @@
 """Manifest parsing and dataset resolution tests."""
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
@@ -9,7 +10,8 @@ import pytest
 from fedsim import manifest as manifest_module
 from fedsim.aggregation import AggregationStrategy
 from fedsim.federation import ExperimentConfig
-from fedsim.manifest import SETTINGS, ConfigError, RunManifest
+from fedsim.cli import GridCell, expand_grid
+from fedsim.manifest import GRID_AXES, SETTINGS, ConfigError, RunManifest
 from fedsim.nn import TrainConfig
 
 
@@ -129,6 +131,18 @@ class TestLoad:
         text = "[grid]\ndatasets =\n"
         with pytest.raises(ConfigError, match="empty"):
             RunManifest.load(write_manifest(tmp_path, text))
+
+    @pytest.mark.parametrize("axis", list(GRID_AXES))
+    def test_empty_grid_value_names_the_key(self, tmp_path, axis):
+        path = write_manifest(tmp_path, f"[grid]\n{axis} = ,\n")
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: \\[grid\\] {axis}: empty"):
+            RunManifest.load(path)
+
+    def test_grid_axes_are_in_grid_cell_field_order(self):
+        fedavg = AggregationStrategy.FEDAVG
+        m = RunManifest(grid_clients=[3], grid_rounds=[7], grid_strategies=[fedavg])
+        assert expand_grid(m) == [GridCell(dataset="synth-small", clients=3, rounds=7,
+                                           strategy=fedavg)]
 
     def test_non_boolean_scale_is_config_error(self, tmp_path):
         text = "[dataset.x]\npath = x.csv\nscale = maybe\n"
