@@ -183,7 +183,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     digest = run_hash(manifest, cells)
     out_dir = Path(args.out) if args.out else manifest.out_dir
     created = not out_dir.exists()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or a parent that cannot be written
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
 
     def save_round_log(cell: GridCell, result: ExperimentResult) -> None:
         # written as the cell finishes, so a later cell's failure keeps it

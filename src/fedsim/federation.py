@@ -12,6 +12,7 @@ independent per-round stream.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,19 +43,18 @@ def _client_rng(run_seed: int, round_num: int, client_id: int) -> np.random.Gene
 
 @dataclass
 class ClientState:
-    """A participant: its private shard, current local model and last accuracy."""
+    """A participant: its private shard and current local model."""
 
     client_id: int
     shard: ClientShard
     model: DenseNetwork
-    last_local_acc: float = 0.0
 
     def receive_global(self, global_params: np.ndarray) -> None:
         """Replace the local model's parameters with the broadcast global ones."""
         self.model.set_vector(global_params)
 
     def local_update(self, cfg: TrainConfig, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-        """Train for cfg.local_epochs, measure accuracy on the local test split.
+        """Train the local model in place for cfg.local_epochs, then measure its local test accuracy.
 
         Returns only what may cross the privacy boundary: the updated flat
         parameter vector and the scalar local test accuracy.
@@ -63,16 +63,13 @@ class ClientState:
             FloatingPointError: if training left a parameter non-finite
                 (typically a learning rate too large for the data).
         """
-        net = self.model
         for _ in range(cfg.local_epochs):
-            net, _ = sgd_epoch(net, self.shard.train.features, self.shard.train.labels, cfg, rng)
-        if not np.isfinite(net.params).all():
+            sgd_epoch(self.model, self.shard.train.features, self.shard.train.labels, cfg, rng)
+        if not np.isfinite(self.model.params).all():
             raise FloatingPointError(f"client {self.client_id}: local training diverged to non-finite "
                                      f"parameters at learning rate {cfg.learning_rate}")
-        self.model = net
-        pred = predict_labels(net, self.shard.local_test.features)
-        self.last_local_acc = float(np.mean(pred == self.shard.local_test.labels))
-        return net.to_vector(), self.last_local_acc
+        pred = predict_labels(self.model, self.shard.local_test.features)
+        return self.model.to_vector(), float(np.mean(pred == self.shard.local_test.labels))
 
 
 @dataclass
@@ -89,7 +86,7 @@ class ExperimentConfig:
     local_test_fraction: float = 0.20
     repeats: int = 5
     master_seed: int = 42
-    hidden_dims: tuple[int, ...] = (200, 100, 50)
+    hidden_dims: Sequence[int] = (200, 100, 50)
 
     def __post_init__(self) -> None:
         if self.n_clients < 2:

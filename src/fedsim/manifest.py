@@ -20,7 +20,7 @@ import configparser
 import logging
 import os
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -46,12 +46,12 @@ def _integer(text: str) -> int:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _axis(item: Callable[[str], object]) -> Callable[[str, str], list]:
-    """Parser of one grid axis: a non-empty comma-separated list of ``item`` values.
+def _axis(item: Callable[[str], object]) -> Callable[..., list]:
+    """Parser of a non-empty comma-separated list of ``item`` values (a grid axis, hidden_dims).
 
     ``where`` (a flag or a manifest key) leads every error message.
     """
-    def parse(raw: str, where: str) -> list:
+    def parse(raw: str, where: str = "value") -> list:
         parts = _str_list(raw)
         if not parts:
             raise ConfigError(f"{where}: empty list")
@@ -89,7 +89,7 @@ SETTINGS: dict[str, Callable[[str], object]] = {
     "master_seed": int,
     "holdout_fraction": float,
     "local_test_fraction": float,
-    "hidden_dims": lambda raw: tuple(int(part) for part in _str_list(raw)),
+    "hidden_dims": _axis(_integer),
 }
 # Shorter [defaults] spellings of two settings.
 _ALIASES = {"lr": "learning_rate", "seed": "master_seed"}
@@ -128,7 +128,7 @@ class RunManifest:
     master_seed: int = ExperimentConfig.master_seed
     holdout_fraction: float = ExperimentConfig.holdout_fraction
     local_test_fraction: float = ExperimentConfig.local_test_fraction
-    hidden_dims: tuple[int, ...] = ExperimentConfig.hidden_dims
+    hidden_dims: Sequence[int] = ExperimentConfig.hidden_dims
     out_dir: Path = Path("results")
     base_dir: Path = Path(".")
 

@@ -10,6 +10,11 @@ A network's parameters live in one flat float64 buffer in the canonical
 layout (layer 0 weights row-major, layer 0 biases, layer 1 weights, ...) that
 the aggregation arithmetic works on; the per-layer weight and bias arrays are
 views into it, and gradients are written into a buffer of the same layout.
+
+One layer loop (``_forward``) computes the activations both for scoring
+(``DenseNetwork.forward``) and for backprop, so the network that scores a
+model is the one SGD trained. ``sgd_epoch`` updates a network in place and
+returns the epoch's mean loss.
 """
 from __future__ import annotations
 
@@ -31,8 +36,8 @@ class TrainConfig:
     local_epochs: int = 5
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0.0 <= self.learning_rate < np.inf:  # also rejects nan
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.local_epochs < 1:
@@ -92,11 +97,7 @@ class DenseNetwork:
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
         """Probability of the positive class for each row of ``batch``."""
-        a = _check_batch(batch, self.input_dim)
-        for k in range(self.n_layers - 1):
-            a = np.maximum(a @ self.weights[k] + self.biases[k], 0.0)
-        z = a @ self.weights[-1] + self.biases[-1]
-        return _sigmoid(z).ravel()
+        return _forward(self, _check_batch(batch, self.input_dim))[-1].ravel()
 
 
 def _layer_views(flat: np.ndarray, layer_dims: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -165,6 +166,19 @@ def init_network(input_dim: int, hidden_dims: list[int], seed: int) -> DenseNetw
     return net
 
 
+def _forward(net: DenseNetwork, X: np.ndarray) -> list[np.ndarray]:
+    """Every layer's activation for batch ``X``: X, each hidden ReLU output, the output probability.
+
+    The one forward pass: evaluation reads the last entry, backprop reads them all.
+    """
+    acts = [X]
+    for k in range(net.n_layers):
+        z = acts[-1] @ net.weights[k]
+        z += net.biases[k]
+        acts.append(np.maximum(z, 0.0, out=z) if k < net.n_layers - 1 else _sigmoid(z))
+    return acts
+
+
 def _backward(net: DenseNetwork, X: np.ndarray, y: np.ndarray,
               grad_views: tuple[list[np.ndarray], list[np.ndarray]]) -> float:
     """Mean BCE loss for one batch; writes its gradient through ``grad_views``.
@@ -173,23 +187,14 @@ def _backward(net: DenseNetwork, X: np.ndarray, y: np.ndarray,
     in the canonical layout, as built by ``_layer_views``.
     """
     n = X.shape[0]
-    acts = [X]
-    a = X
-    for k in range(net.n_layers - 1):
-        a = a @ net.weights[k]
-        a += net.biases[k]
-        np.maximum(a, 0.0, out=a)
-        acts.append(a)
-    z_out = a @ net.weights[-1]
-    z_out += net.biases[-1]
-    prob = _sigmoid(z_out)
+    acts = _forward(net, X)  # acts[-1] is the output probability
 
-    clipped = np.clip(prob, PROB_CLIP, 1.0 - PROB_CLIP)
+    clipped = np.clip(acts[-1], PROB_CLIP, 1.0 - PROB_CLIP)
     y_col = y.reshape(-1, 1)
     loss = float(-np.mean(y_col * np.log(clipped) + (1.0 - y_col) * np.log(1.0 - clipped)))
 
     grad_w, grad_b = grad_views
-    delta = prob  # prob is not read again, so delta takes over its buffer
+    delta = acts[-1]  # the probability is not read again, so delta takes over its buffer
     delta -= y_col
     delta /= n  # d(mean BCE)/d(z_out) for the sigmoid output
     for k in range(net.n_layers - 1, -1, -1):
@@ -211,19 +216,12 @@ def loss_and_gradient(net: DenseNetwork, batch, labels) -> tuple[float, np.ndarr
     return loss, grad
 
 
-def sgd_epoch(
-    net: DenseNetwork,
-    X,
-    y,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-) -> tuple[DenseNetwork, float]:
-    """One pass of mini-batch SGD over the training set.
+def sgd_epoch(net: DenseNetwork, X, y, cfg: TrainConfig, rng: np.random.Generator) -> float:
+    """One pass of mini-batch SGD over the training set, updating ``net`` in place.
 
-    Returns a new network (the input is not mutated) and the mean per-sample
-    loss over the epoch. The shuffle order comes from ``rng``; the final
-    short batch is trained on like any other. One gradient buffer serves
-    every batch, and the update is applied in place.
+    Returns the mean per-sample loss over the epoch. The shuffle order comes
+    from ``rng``; the final short batch is trained on like any other. One
+    gradient buffer serves every batch.
     """
     X = _check_batch(X, net.input_dim)
     y = _check_labels(y, X.shape[0])
@@ -231,8 +229,6 @@ def sgd_epoch(
     if n == 0:
         raise ValueError("cannot train on an empty set")
 
-    net = net.copy()
-    lr = cfg.learning_rate
     grad = np.empty_like(net.params)
     grad_views = _layer_views(grad, net.layer_dims)
     perm = rng.permutation(n)
@@ -240,9 +236,9 @@ def sgd_epoch(
     for start in range(0, n, cfg.batch_size):
         idx = perm[start : start + cfg.batch_size]
         loss_sum += _backward(net, X[idx], y[idx], grad_views) * idx.size
-        grad *= lr
+        grad *= cfg.learning_rate
         net.params -= grad
-    return net, loss_sum / n
+    return loss_sum / n
 
 
 def predict_labels(net: DenseNetwork, batch) -> np.ndarray:

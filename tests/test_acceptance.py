@@ -221,6 +221,7 @@ def test_criterion_4_metric_oracles():
            f"{'matched' if hand_ok else 'FAILED'}")
 
 
+@pytest.mark.slow
 def test_criterion_5_malgenome_reproduction(repro):
     dw, t_dw, mode = repro.run("malgenome", 5, "dw-fedavg")
     fa, t_fa, _ = repro.run("malgenome", 5, "fedavg")
@@ -237,6 +238,7 @@ def test_criterion_5_malgenome_reproduction(repro):
            f"{elapsed:.0f}s (cap 300s)")
 
 
+@pytest.mark.slow
 def test_criterion_6_tuandromd_reproduction(repro):
     dw, t_dw, mode = repro.run("tuandromd", 5, "dw-fedavg")
     fa, t_fa, _ = repro.run("tuandromd", 5, "fedavg")
@@ -252,6 +254,7 @@ def test_criterion_6_tuandromd_reproduction(repro):
            f"{elapsed:.0f}s (cap 300s)")
 
 
+@pytest.mark.slow
 def test_criterion_7_drebin_reproduction(repro):
     dw, elapsed, mode = repro.run("drebin", 5, "dw-fedavg")
     acc = dw["accuracy"][0]
@@ -262,6 +265,7 @@ def test_criterion_7_drebin_reproduction(repro):
            f"{elapsed:.0f}s (cap 900s)")
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(not os.environ.get("FEDSIM_RUN_KRONODROID"),
                     reason="large optional run; set FEDSIM_RUN_KRONODROID=1")
 def test_criterion_7_kronodroid_optional(repro):
@@ -272,6 +276,7 @@ def test_criterion_7_kronodroid_optional(repro):
            f"(target 0.9596 +- 0.03), {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_8_client_scaling_trend(repro):
     names = ["malgenome", "tuandromd", "drebin"]
     if os.environ.get("FEDSIM_RUN_KRONODROID"):

@@ -174,7 +174,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--alpha", "1.5"), ("--clients", "1"), ("--batch-size", "0"),
-        ("--lr", "-1"), ("--repeats", "0"), ("--seed", "-1"),
+        ("--lr", "-1"), ("--lr", "nan"), ("--lr", "inf"), ("--repeats", "0"), ("--seed", "-1"),
     ])
     def test_bad_hyperparameter_is_exit_two_before_any_output(self, tmp_path, capsys,
                                                                flag, value):
@@ -263,6 +263,37 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["", ",", "64, x"])
+    def test_bad_hidden_dims_is_exit_two_before_any_output(self, tmp_path, capsys, value):
+        manifest = write(tmp_path, f"[grid]\ndatasets = synth-small\n\n"
+                                   f"[defaults]\nhidden_dims = {value}\n")
+        out = tmp_path / "o"
+        code = main(["run", "--manifest", str(manifest), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "hidden_dims" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+    @pytest.mark.parametrize("via", ["flag", "manifest"])
+    def test_output_path_that_cannot_be_a_directory_is_exit_two(self, tmp_path, capsys,
+                                                                below, via):
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        out = blocker / below if below else blocker
+        argv = ["run", "--dataset", "synth-small", "--rounds", "1", "--repeats", "1"]
+        if via == "flag":
+            argv += ["--out", str(out)]
+        else:
+            argv += ["--manifest", str(write(tmp_path, f"[output]\ndir = {out}\n"))]
+        code = main(argv)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert blocker.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["taken"] + (["m.ini"] if via == "manifest" else []))
 
     def test_meta_records_the_blas_training_ran_with(self, tmp_path):
         out = tmp_path / "o"

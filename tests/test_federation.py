@@ -147,6 +147,7 @@ class TestRunExperiment:
         assert [r.run_seed for r in result.repeats] == [20, 21, 22]
 
 
+@pytest.mark.slow
 class TestPoorClient:
     """The paper's motivating case: one client whose local model is poor."""
 
@@ -181,7 +182,16 @@ class TestClientState:
         assert vec.size == client.model.n_params
         assert isinstance(acc, float)
         assert 0.0 <= acc <= 1.0
-        assert client.last_local_acc == acc
+
+    def test_local_update_trains_the_client_model_in_place(self, small_dataset):
+        cfg = small_config()
+        _, clients, params, _ = setup_repeat(cfg, small_dataset, run_seed=1)
+        client = clients[0]
+        model, buffer = client.model, client.model.params
+        vec, _ = client.local_update(cfg.train, np.random.default_rng(0))
+        assert client.model is model and client.model.params is buffer
+        np.testing.assert_array_equal(client.model.params, vec)
+        assert not np.array_equal(vec, params)
 
     def test_receive_global_overwrites_local_model(self, small_dataset):
         cfg = small_config()

@@ -25,6 +25,7 @@ repeats = 2
 master_seed = 99
 holdout_fraction = 0.25
 local_test_fraction = 0.15
+hidden_dims = 64, 32
 
 [grid]
 datasets = synth-small
@@ -65,6 +66,7 @@ class TestLoad:
         assert m.master_seed == 99
         assert m.holdout_fraction == 0.25
         assert m.local_test_fraction == 0.15
+        assert list(m.hidden_dims) == [64, 32]
         assert m.grid_datasets == ["synth-small"]
         assert m.grid_clients == [5, 10]
         assert m.grid_rounds == [10]

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from fedsim.nn import (
+    PROB_CLIP,
     DenseNetwork,
     TrainConfig,
     init_network,
@@ -40,10 +41,14 @@ def finite_difference_grad(net, X, y, eps=1e-5):
 
 
 def train_for_local_epochs(net, X, y, cfg, seed):
-    """cfg.local_epochs SGD epochs on one shuffle stream seeded by seed; returns (net, last loss)."""
+    """cfg.local_epochs SGD epochs on a copy of net, one shuffle stream seeded by seed.
+
+    Returns (the trained copy, the last epoch's loss); net itself is left as it was.
+    """
+    net = net.copy()
     rng = np.random.default_rng(seed)
     for _ in range(cfg.local_epochs):
-        net, loss = sgd_epoch(net, X, y, cfg, rng)
+        loss = sgd_epoch(net, X, y, cfg, rng)
     return net, loss
 
 
@@ -182,6 +187,23 @@ class TestLossAndGradient:
             denom = np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-10)
             assert (np.abs(grad - fd) / denom).max() < 1e-4
 
+    def test_loss_is_the_bce_of_the_forward_pass(self):
+        # training and scoring share one forward pass, so the loss SGD
+        # descends is exactly the BCE of the probabilities forward() reports
+        rng = np.random.default_rng(15)
+        depths = set()
+        for _ in range(40):
+            net = random_small_net(rng, generic_params=True)
+            depths.add(net.n_layers - 1)
+            X = rng.normal(size=(int(rng.integers(1, 9)), net.input_dim))
+            y = rng.integers(0, 2, size=X.shape[0])
+            clipped = np.clip(net.forward(X).reshape(-1, 1), PROB_CLIP, 1.0 - PROB_CLIP)
+            y_col = y.astype(np.float64).reshape(-1, 1)
+            bce = float(-np.mean(y_col * np.log(clipped) + (1.0 - y_col) * np.log(1.0 - clipped)))
+            loss, _ = loss_and_gradient(net, X, y)
+            assert np.float64(loss).tobytes() == np.float64(bce).tobytes()
+        assert depths == {0, 1, 2, 3}
+
     def test_non_binary_labels_rejected(self):
         net = init_network(2, [], 0)
         with pytest.raises(ValueError, match="0/1"):
@@ -200,8 +222,8 @@ class TestSgd:
         before = net.to_vector()
         X = rng.normal(size=(20, 4))
         y = rng.integers(0, 2, size=20)
-        after, _ = sgd_epoch(net, X, y, TrainConfig(learning_rate=0.0), np.random.default_rng(1))
-        assert np.array_equal(after.to_vector(), before)
+        sgd_epoch(net, X, y, TrainConfig(learning_rate=0.0), np.random.default_rng(1))
+        assert np.array_equal(net.to_vector(), before)
 
     def test_single_sample_single_batch_is_one_gradient_step(self):
         net = init_network(3, [2], 4)
@@ -209,17 +231,22 @@ class TestSgd:
         y = np.array([1])
         _, grad = loss_and_gradient(net, X, y)
         expected = net.to_vector() - 0.1 * grad
-        stepped, _ = sgd_epoch(net, X, y, TrainConfig(learning_rate=0.1, batch_size=1),
-                               np.random.default_rng(0))
+        stepped = net.copy()
+        sgd_epoch(stepped, X, y, TrainConfig(learning_rate=0.1, batch_size=1),
+                  np.random.default_rng(0))
         assert np.array_equal(stepped.to_vector(), expected)
 
-    def test_input_network_is_not_mutated(self):
+    def test_trains_the_given_network_in_place(self):
         rng = np.random.default_rng(9)
         net = init_network(3, [2], 5)
+        buffer, views = net.params, net.weights + net.biases
         before = net.to_vector()
-        sgd_epoch(net, rng.normal(size=(10, 3)), rng.integers(0, 2, 10),
-                  TrainConfig(), np.random.default_rng(0))
-        assert np.array_equal(net.to_vector(), before)
+        loss = sgd_epoch(net, rng.normal(size=(10, 3)), rng.integers(0, 2, 10),
+                         TrainConfig(), np.random.default_rng(0))
+        assert type(loss) is float and np.isfinite(loss)
+        assert net.params is buffer
+        assert all(a is b for a, b in zip(net.weights + net.biases, views))
+        assert not np.array_equal(net.to_vector(), before)
 
     def test_short_final_batch_is_trained_on(self):
         # 5 samples at batch_size 4 leaves a 1-sample tail; with lr > 0 the
@@ -228,8 +255,9 @@ class TestSgd:
         X = rng.normal(size=(5, 3))
         y = np.array([0, 1, 0, 1, 1])
         net = init_network(3, [], 6)
-        full, _ = sgd_epoch(net, X, y, TrainConfig(learning_rate=0.5, batch_size=4),
-                            np.random.default_rng(3))
+        full = net.copy()
+        sgd_epoch(full, X, y, TrainConfig(learning_rate=0.5, batch_size=4),
+                  np.random.default_rng(3))
         # replay the same permutation by hand, stopping after the full batch
         perm = np.random.default_rng(3).permutation(5)
         partial = net.copy()
@@ -244,10 +272,10 @@ class TestSgd:
         y = rng.integers(0, 2, size=70)
         cfg = TrainConfig(learning_rate=0.3, batch_size=32)
         net = init_network(5, [6, 4], 7)
-        trained, ref = net, net.copy()
+        trained, ref = net.copy(), net.copy()
         train_rng, ref_rng = np.random.default_rng(14), np.random.default_rng(14)
         for _ in range(3):
-            trained, loss = sgd_epoch(trained, X, y, cfg, train_rng)
+            loss = sgd_epoch(trained, X, y, cfg, train_rng)
             perm = ref_rng.permutation(70)
             ref_loss = 0.0
             for start in range(0, 70, 32):
@@ -310,6 +338,9 @@ class TestTrainConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-0.1)
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                TrainConfig(learning_rate=rate)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
