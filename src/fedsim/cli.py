@@ -228,6 +228,12 @@ def load_summary(path: Path) -> list[dict[str, str]]:
     missing = [f for f in SUMMARY_FIELDS if rows and f not in rows[0]]
     if not rows or missing:
         raise ConfigError(f"{path}: not a summary CSV (missing {missing or 'rows'})")
+    for line, row in enumerate(rows, start=2):
+        for name in SUMMARY_FIELDS[len(CELL_KEY):]:
+            try:
+                float(row[name])
+            except (TypeError, ValueError):  # TypeError: a short row leaves the cell None
+                raise ConfigError(f"{path}:{line}: {name} is not a number: {row[name]!r}") from None
     return rows
 
 
@@ -238,8 +244,8 @@ def compare_rows(
 
     Rows join on CELL_KEY (dataset, clients, rounds, strategy) when both
     files cover the same strategies; otherwise the strategy column is dropped
-    from the key so a FedAvg-only file lines up against a DW-only file. Rows
-    of A with no partner in B are a key mismatch.
+    from the key so a FedAvg-only file lines up against a DW-only file. A row
+    of A with no partner in B, or with more than one, is a key mismatch.
     """
     *shared, strategy = CELL_KEY
     strategies_differ = {r[strategy] for r in rows_a} != {r[strategy] for r in rows_b}
@@ -248,15 +254,16 @@ def compare_rows(
     def key(row):
         return tuple(row[f] for f in key_fields)
 
-    index_b = {}
+    index_b: dict[tuple, list[dict[str, str]]] = {}
     for row in rows_b:
-        index_b.setdefault(key(row), row)
+        index_b.setdefault(key(row), []).append(row)
     out = []
     for row_a in rows_a:
-        row_b = index_b.get(key(row_a))
-        if row_b is None:
-            raise ConfigError(
-                f"key mismatch: no row in the second summary matches {key(row_a)}")
+        matches = index_b.get(key(row_a), [])
+        if len(matches) != 1:  # none, or a partner that cannot be told apart from another
+            raise ConfigError(f"key mismatch: {len(matches)} rows of the second summary "
+                              f"match {key(row_a)}, need exactly 1")
+        row_b = matches[0]
         delta = {f: row_a[f] for f in shared}
         delta[f"{strategy}_a"], delta[f"{strategy}_b"] = row_a[strategy], row_b[strategy]
         for metric in METRIC_NAMES:
@@ -270,17 +277,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows_a = load_summary(Path(args.summary_a))
     rows_b = load_summary(Path(args.summary_b))
     deltas = compare_rows(rows_a, rows_b)
-
     headers = list(deltas[0].keys())
-    print(format_table(headers, deltas))
-
-    if args.out:
+    if args.out:  # written before the table is printed, so a path that fails prints nothing
         out_path = Path(args.out)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        with out_path.open("w", newline="\n") as fh:
-            writer = csv.DictWriter(fh, fieldnames=headers)
-            writer.writeheader()
-            writer.writerows(deltas)
+        try:
+            out_path.parent.mkdir(parents=True, exist_ok=True)
+            with out_path.open("w", newline="\n") as fh:
+                writer = csv.DictWriter(fh, fieldnames=headers)
+                writer.writeheader()
+                writer.writerows(deltas)
+        except OSError as exc:  # a file in the way, or --out naming a directory
+            raise ConfigError(f"cannot write {out_path}: {exc.strerror}") from None
+    print(format_table(headers, deltas))
+    if args.out:
         print(f"\ndeltas written to {out_path}")
     return EXIT_OK
 
@@ -290,7 +299,10 @@ def _apply_overrides(manifest: RunManifest, args: argparse.Namespace) -> None:
         if args.grid:
             setattr(manifest, f"grid_{axis}", list(GRID_PRESETS[args.grid][axis]))
         if getattr(args, axis) is not None:
-            setattr(manifest, f"grid_{axis}", parse(getattr(args, axis), f"--{axis}"))
+            try:
+                setattr(manifest, f"grid_{axis}", parse(getattr(args, axis)))
+            except ValueError as exc:
+                raise ConfigError(f"--{axis}: {exc}") from None
     for name in SETTINGS:
         if getattr(args, name, None) is not None:
             setattr(manifest, name, getattr(args, name))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .aggregation import AggregationStrategy
-from .data import KNOWN_DATASETS, Dataset, DatasetError, load_csv, min_max_scale
+from .data import KNOWN_DATASETS, Dataset, load_csv, min_max_scale
 from .federation import ExperimentConfig
 from .nn import TrainConfig
 from .synth import SURROGATES, resolve_synthetic
@@ -46,26 +46,20 @@ def _integer(text: str) -> int:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _axis(item: Callable[[str], object]) -> Callable[..., list]:
-    """Parser of a non-empty comma-separated list of ``item`` values (a grid axis, hidden_dims).
-
-    ``where`` (a flag or a manifest key) leads every error message.
-    """
-    def parse(raw: str, where: str = "value") -> list:
+def _axis(item: Callable[[str], object]) -> Callable[[str], list]:
+    """Parser of a non-empty comma-separated list of ``item`` values (a grid axis, hidden_dims)."""
+    def parse(raw: str) -> list:
         parts = _str_list(raw)
         if not parts:
-            raise ConfigError(f"{where}: empty list")
-        try:
-            return [item(part) for part in parts]
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+            raise ValueError("empty list")
+        return [item(part) for part in parts]
     return parse
 
 
 # The grid's axes in GridCell field order: each name is a [grid] key, the
 # destination of its `fedsim run` flag and, prefixed with grid_, a
 # RunManifest field; the value parses its text.
-GRID_AXES: dict[str, Callable[[str, str], list]] = {
+GRID_AXES: dict[str, Callable[[str], list]] = {
     "datasets": _axis(str),
     "clients": _axis(_integer),
     "rounds": _axis(_integer),
@@ -93,13 +87,6 @@ SETTINGS: dict[str, Callable[[str], object]] = {
 }
 # Shorter [defaults] spellings of two settings.
 _ALIASES = {"lr": "learning_rate", "seed": "master_seed"}
-
-_SECTION_KEYS = {
-    "defaults": (*SETTINGS, *_ALIASES),
-    "grid": tuple(GRID_AXES),
-    "output": ("dir",),
-    "dataset.*": ("path", "label_column", "labels", "scale"),
-}
 
 
 @dataclass
@@ -150,44 +137,30 @@ class RunManifest:
         m = cls(base_dir=path.parent)
         for section in parser.sections():
             kind = "dataset.*" if section.startswith("dataset.") else section
-            if kind not in _SECTION_KEYS:
+            if kind not in _MANIFEST_KEYS:
                 raise ConfigError(f"{path}: unknown section [{section}]")
-            sec = parser[section]
-            unknown = [key for key in sec if key not in _SECTION_KEYS[kind]]
+            keys, sec = _MANIFEST_KEYS[kind], parser[section]
+            unknown = [key for key in sec if key not in keys]
             if unknown:
                 raise ConfigError(f"{path}: unknown key '{unknown[0]}' in [{section}]")
+            values = {}
+            # aliases first, so the canonical key is stored last and wins
+            for key in sorted(sec, key=lambda k: k not in _ALIASES):
+                attr, parse = keys[key]
+                try:
+                    values[attr] = parse(sec[key])
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
             if kind != "dataset.*":
+                for attr, value in values.items():
+                    setattr(m, attr, value)
                 continue
             name = section.split(".", 1)[1].strip().lower()
-            if "path" not in sec:
+            if "path" not in values:
                 raise ConfigError(f"{path}: [{section}] is missing the 'path' key")
-            try:
-                scale = sec.getboolean("scale", fallback=False)
-            except ValueError:
-                raise ConfigError(f"{path}: key 'scale' in [{section}]: expected true or false, "
-                                  f"got {sec['scale']!r}") from None
-            m.datasets[name] = DatasetEntry(
-                name=name,
-                path=sec["path"],
-                label_column=sec.get("label_column", "class"),
-                label_map=_parse_label_map(sec.get("labels", "")) or None,
-                scale=scale,
-            )
-
-        if parser.has_section("defaults"):
-            d = parser["defaults"]
-            # aliases first, so the canonical key is applied last and wins
-            for key in sorted(d, key=lambda k: k in SETTINGS):
-                name = _ALIASES.get(key, key)
-                try:
-                    setattr(m, name, SETTINGS[name](d[key]))
-                except ValueError:
-                    raise ConfigError(f"key '{key}': cannot parse {d[key]!r}") from None
-        if parser.has_section("grid"):
-            for axis, raw in parser["grid"].items():
-                setattr(m, f"grid_{axis}", GRID_AXES[axis](raw, f"{path}: [grid] {axis}"))
-        if parser.has_section("output") and "dir" in parser["output"]:
-            m.out_dir = Path(parser["output"]["dir"])
+            if name in m.datasets:
+                raise ConfigError(f"{path}: [{section}] declares dataset '{name}' a second time")
+            m.datasets[name] = DatasetEntry(name=name, **values)
         return m
 
     def validate_grid_datasets(self) -> None:
@@ -251,19 +224,40 @@ def _str_list(raw: str) -> list[str]:
     return [part.strip().lower() for part in raw.split(",") if part.strip()]
 
 
-def _parse_label_map(raw: str) -> dict[str, int]:
+def _boolean(raw: str) -> bool:
+    if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"expected true or false, got {raw!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+
+
+def _parse_label_map(raw: str) -> dict[str, int] | None:
+    """``text:0|1`` entries; None (the default map) when there are none."""
     mapping: dict[str, int] = {}
     for part in raw.split(","):
         part = part.strip()
         if not part:
             continue
         if ":" not in part:
-            raise ConfigError(f"label mapping entry {part!r} is not 'text:0|1'")
-        text, _, value = part.partition(":")
-        if value.strip() not in ("0", "1"):
-            raise ConfigError(f"label mapping entry {part!r} maps to {value.strip()!r}, not 0 or 1")
-        mapping[text.strip()] = int(value)
-    return mapping
+            raise ValueError(f"label mapping entry {part!r} is not 'text:0|1'")
+        label, _, value = (piece.strip() for piece in part.partition(":"))
+        if value not in ("0", "1"):
+            raise ValueError(f"label mapping entry {part!r} maps to {value!r}, not 0 or 1")
+        if label.lower() in map(str.lower, mapping):  # load_csv matches labels case-insensitively
+            raise ValueError(f"label {label!r} is mapped twice")
+        mapping[label] = int(value)
+    return mapping or None
+
+
+# Every manifest key by section kind: the RunManifest (or, under dataset.*,
+# DatasetEntry) field it sets and the parser of its text.
+_MANIFEST_KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
+    "defaults": {**{name: (name, parse) for name, parse in SETTINGS.items()},
+                 **{alias: (name, SETTINGS[name]) for alias, name in _ALIASES.items()}},
+    "grid": {axis: (f"grid_{axis}", parse) for axis, parse in GRID_AXES.items()},
+    "output": {"dir": ("out_dir", Path)},
+    "dataset.*": {"path": ("path", str), "label_column": ("label_column", str),
+                  "labels": ("label_map", _parse_label_map), "scale": ("scale", _boolean)},
+}
 
 
 __all__ = [

@@ -1,4 +1,5 @@
 """CLI tests: grid expansion, output files, exit codes and the compare tool."""
+import configparser
 import csv
 import json
 import re
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from fedsim import _blas, cli
+from fedsim import manifest as manifest_module
 from fedsim.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -249,7 +251,7 @@ class TestRunCommand:
         assert out.is_dir()
 
     @pytest.mark.parametrize("entry, named", [
-        ("scale = maybe", "'scale' in [dataset.toy]"),
+        ("scale = maybe", "[dataset.toy] scale"),
         ("labels = B:0, S:2", "'S:2'"),
     ])
     def test_bad_dataset_entry_is_exit_two_before_any_output(self, tmp_path, capsys,
@@ -262,6 +264,24 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, named", [
+        ("[defaults]\nalpha = lots\n", "[defaults] alpha: could not convert string to float"),
+        ("[dataset.toy]\npath = toy.csv\nlabels = B:0, b:1, S:1\n",
+         "[dataset.toy] labels: label 'b' is mapped twice"),
+        ("[dataset.Toy]\npath = toy.csv\n\n[dataset.toy]\npath = toy.csv\n",
+         "[dataset.toy] declares dataset 'toy' a second time"),
+        ("alpha = 0.3\n[defaults]\n", "no section headers"),
+        ("[defaults]\nalpha = 0.3\nalpha = 0.4\n", "'alpha' in section 'defaults' already exists"),
+    ], ids=["defaults-value", "label-twice", "dataset-twice", "key-before-section", "key-twice"])
+    def test_manifest_fault_is_exit_two_naming_the_file(self, tmp_path, capsys, text, named):
+        manifest = write(tmp_path, text)
+        out = tmp_path / "o"
+        code = main(["run", "--manifest", str(manifest), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: ") and named in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["", ",", "64, x"])
@@ -385,6 +405,38 @@ class TestCompareCommand:
             "  +0.000        +0.000\n"
         )
 
+    def test_key_matching_two_rows_of_b_is_exit_two(self, tmp_path, capsys):
+        # the strategy sets differ, so the join drops the strategy and B's two rows share a key
+        a = make_summary(tmp_path, "a.csv", [summary_row(strategy="dw-fedavg")])
+        b = make_summary(tmp_path, "b.csv", [summary_row(strategy="fedavg"),
+                                             summary_row(strategy="dw-fedavg")])
+        assert main(["compare", str(a), str(b)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "2 rows of the second summary match ('malgenome', '5', '10')" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["abc", ""])
+    def test_non_numeric_metric_is_exit_two_naming_the_file(self, tmp_path, capsys, value):
+        a = make_summary(tmp_path, "a.csv", [summary_row()])
+        b = make_summary(tmp_path, "b.csv", [summary_row(), summary_row(clients="10", auc=value)])
+        assert main(["compare", str(a), str(b)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"{b}:3: auc_mean is not a number: '{value}'" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("below", ["", "d.csv"], ids=["directory", "under-file"])
+    def test_out_that_cannot_be_written_is_exit_two(self, tmp_path, capsys, below):
+        a = make_summary(tmp_path, "a.csv", [summary_row()])
+        if below:
+            (tmp_path / "taken").write_text("kept\n")
+        else:
+            (tmp_path / "taken").mkdir()
+        out = tmp_path / "taken" / below if below else tmp_path / "taken"
+        assert main(["compare", str(a), str(a), "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ") and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "taken"]
+
     def test_malformed_summary_rejected(self, tmp_path):
         from fedsim.manifest import ConfigError
         bad = tmp_path / "bad.csv"
@@ -403,6 +455,18 @@ class TestDocs:
         flags = {opt for action in run._actions for opt in action.option_strings
                  if opt.startswith("--") and opt != "--help"}
         assert documented == flags
+
+    def test_readme_manifest_example_names_every_manifest_key(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        manifest = write(tmp_path, readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        RunManifest.load(manifest)
+        parser = configparser.ConfigParser()
+        parser.read(manifest, encoding="utf-8")
+        named = {("dataset.*" if section.startswith("dataset.") else section, key)
+                 for section in parser.sections() for key in parser[section]}
+        table = {(kind, key) for kind, keys in manifest_module._MANIFEST_KEYS.items()
+                 for key in keys}
+        assert named == table - {("defaults", "lr"), ("defaults", "seed")}
 
 
 class TestFormatting:

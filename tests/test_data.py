@@ -204,6 +204,14 @@ class TestPartitionClients:
         with pytest.raises(DatasetError, match="too few samples per client"):
             partition_clients(ds, 5, seed=0)
 
+    def test_shard_with_one_sample_of_a_class_cannot_split(self):
+        labels = np.zeros(20, dtype=np.int64)
+        labels[:2] = 1  # seed 1 deals one positive to each of the 2 clients
+        ds = Dataset(name="toy", features=np.zeros((20, 3)), labels=labels)
+        with pytest.raises(DatasetError,
+                           match=r"toy: client 0: class 1 has 1 sample\(s\); cannot split; too few"):
+            partition_clients(ds, 2, seed=1)
+
     def test_single_client_rejected(self):
         ds = balanced_dataset(50)
         with pytest.raises(ValueError, match="n_clients"):

@@ -150,7 +150,7 @@ class TestLoad:
         text = "[dataset.x]\npath = x.csv\nscale = maybe\n"
         with pytest.raises(ConfigError) as err:
             RunManifest.load(write_manifest(tmp_path, text))
-        assert "'scale' in [dataset.x]" in str(err.value) and "maybe" in str(err.value)
+        assert "[dataset.x] scale" in str(err.value) and "maybe" in str(err.value)
 
     @pytest.mark.parametrize("labels, entry", [
         ("B:0, S:2", "S:2"), ("B:0, S:1, X:2", "X:2"), ("B:-1, S:1", "B:-1"),
@@ -164,6 +164,40 @@ class TestLoad:
         text = "[dataset.x]\npath = x.csv\nlabels = B=0\n"
         with pytest.raises(ConfigError, match="label mapping"):
             RunManifest.load(write_manifest(tmp_path, text))
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("alpha", "lots", "could not convert string to float: 'lots'"),
+        ("hidden_dims", "64, x", "expected comma-separated integers, got 'x'"),
+        ("hidden_dims", "", "empty list"),
+    ])
+    def test_defaults_error_names_file_section_key_and_reason(self, tmp_path, key, value, reason):
+        path = write_manifest(tmp_path, f"[defaults]\n{key} = {value}\n")
+        with pytest.raises(ConfigError) as err:
+            RunManifest.load(path)
+        assert str(err.value) == f"{path}: [defaults] {key}: {reason}"
+
+    @pytest.mark.parametrize("labels, twice", [("B:0, b:1, S:1", "b"), ("B:0, S:1, s:1", "s")])
+    def test_label_mapped_twice_is_config_error(self, tmp_path, labels, twice):
+        path = write_manifest(tmp_path, f"[dataset.x]\npath = x.csv\nlabels = {labels}\n")
+        with pytest.raises(ConfigError) as err:
+            RunManifest.load(path)
+        assert str(err.value) == f"{path}: [dataset.x] labels: label '{twice}' is mapped twice"
+
+    @pytest.mark.parametrize("first, second", [("Toy", "toy"), ("toy", " toy")])
+    def test_dataset_declared_twice_is_config_error(self, tmp_path, first, second):
+        text = f"[dataset.{first}]\npath = a.csv\n\n[dataset.{second}]\npath = b.csv\n"
+        with pytest.raises(ConfigError, match=re.escape(
+                f"[dataset.{second}] declares dataset 'toy' a second time")):
+            RunManifest.load(write_manifest(tmp_path, text))
+
+    @pytest.mark.parametrize("text", [
+        "alpha = 0.3\n[defaults]\n", "[defaults]\nalpha = 0.3\nalpha = 0.4\n",
+    ], ids=["key-before-section", "key-twice"])
+    def test_syntax_error_is_config_error_naming_the_file(self, tmp_path, text):
+        path = write_manifest(tmp_path, text)
+        with pytest.raises(ConfigError) as err:
+            RunManifest.load(path)
+        assert str(err.value).startswith(f"{path}: ")
 
 
 class TestResolve:
