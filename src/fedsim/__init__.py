@@ -43,7 +43,7 @@ from .metrics import (
     f1,
     fpr,
 )
-from .nn import DenseNetwork, TrainConfig, init_network, sgd_epoch
+from .nn import DenseNetwork, TrainConfig, init_network, sgd_epoch, sgd_epochs
 from .synth import SURROGATES, make_indicator_dataset, resolve_synthetic
 
 __version__ = "0.1.0"
@@ -85,6 +85,7 @@ __all__ = [
     "TrainConfig",
     "init_network",
     "sgd_epoch",
+    "sgd_epochs",
     "SURROGATES",
     "make_indicator_dataset",
     "resolve_synthetic",

@@ -8,6 +8,11 @@ client.
 
 All randomness derives from (master_seed + repeat index); each client gets an
 independent per-round stream.
+
+The clients of a repeat train as one stack: their models are the rows of one
+(K, P) parameter array, and ``train_clients`` runs every SGD step of every
+client as one ``nn.sgd_epochs`` call. Each client's arithmetic is the one it
+would do alone, so results do not depend on it.
 """
 from __future__ import annotations
 
@@ -21,7 +26,8 @@ from ._blas import one_blas_thread
 from .aggregation import AggregationStrategy, PriorityIndex, dw_fedavg, fedavg, update_priority_index
 from .data import ClientShard, Dataset, holdout_split, partition_clients
 from .metrics import METRIC_NAMES, MetricSet, evaluate_scores
-from .nn import DenseNetwork, TrainConfig, init_network, predict_labels, sgd_epoch
+from .nn import DenseNetwork, TrainConfig, init_network, predict_labels, sgd_epochs
+from .nn import sgd_epoch  # noqa: F401  (a name perfbench/tracing.py wraps)
 
 # spawn-key domains for deriving independent RNG streams from one run seed
 _DOMAIN_HOLDOUT = 0
@@ -63,13 +69,59 @@ class ClientState:
             FloatingPointError: if training left a parameter non-finite
                 (typically a learning rate too large for the data).
         """
-        for _ in range(cfg.local_epochs):
-            sgd_epoch(self.model, self.shard.train.features, self.shard.train.labels, cfg, rng)
-        if not np.isfinite(self.model.params).all():
-            raise FloatingPointError(f"client {self.client_id}: local training diverged to non-finite "
-                                     f"parameters at learning rate {cfg.learning_rate}")
-        pred = predict_labels(self.model, self.shard.local_test.features)
-        return self.model.to_vector(), float(np.mean(pred == self.shard.local_test.labels))
+        stack = self.model.params[None]
+        (acc,) = _train_stack(stack, [self], cfg, [rng], np.empty_like(stack))
+        return self.model.to_vector(), acc
+
+
+class ClientStack(tuple):
+    """The clients of one repeat, in client order, whose models are the rows of one (K, P) array.
+
+    ``setup_repeat`` orders the rows by train-shard length, longest first, so
+    that each SGD step's equal-size batches are one contiguous slice of the
+    stack; ``order[r]`` is the index of the client whose model is row r.
+    """
+
+    def __new__(cls, clients, params: np.ndarray, order: np.ndarray):
+        stack = super().__new__(cls, clients)
+        stack.params, stack.order = params, order
+        return stack
+
+
+def _train_stack(stack: np.ndarray, clients, cfg: TrainConfig, rngs, grad: np.ndarray) -> list[float]:
+    """Train ``clients`` in place for cfg.local_epochs and return their local test accuracies.
+
+    ``stack[g]`` is ``clients[g].model.params`` and ``grad`` is scratch of
+    the stack's shape. Raises FloatingPointError, naming the lowest such
+    client id, if training left a parameter non-finite.
+    """
+    for _ in range(cfg.local_epochs):
+        sgd_epochs(stack, clients[0].model.layer_dims, [c.shard.train.features for c in clients],
+                   [c.shard.train.labels for c in clients], cfg, rngs, grad)
+    diverged = [c.client_id for c, row in zip(clients, stack) if not np.isfinite(row).all()]
+    if diverged:
+        raise FloatingPointError(f"client {min(diverged)}: local training diverged to non-finite "
+                                 f"parameters at learning rate {cfg.learning_rate}")
+    return [float(np.mean(predict_labels(c.model, c.shard.local_test.features)
+                          == c.shard.local_test.labels)) for c in clients]
+
+
+def train_clients(clients, cfg: TrainConfig, rngs) -> tuple[list[np.ndarray], np.ndarray]:
+    """Every client's local update of one round: (parameter vectors, local accuracies) in client order.
+
+    A ``ClientStack`` trains as one stack, and the (K, P) array that served
+    as its gradient scratch returns the vectors. Any other list of clients
+    trains client by client through ``local_update``.
+    """
+    if not isinstance(clients, ClientStack):
+        results = [c.local_update(cfg, rng) for c, rng in zip(clients, rngs)]
+        return [vec for vec, _ in results], np.array([acc for _, acc in results])
+    out = np.empty_like(clients.params)
+    accs = _train_stack(clients.params, [clients[i] for i in clients.order], cfg,
+                        [rngs[i] for i in clients.order], out)
+    rows = np.argsort(clients.order)
+    np.take(clients.params, rows, axis=0, out=out, mode="clip")  # "raise" would buffer out
+    return list(out), np.array(accs)[rows]
 
 
 @dataclass
@@ -167,10 +219,8 @@ def run_round(
     for client in clients:
         client.receive_global(server_params)
 
-    results = [c.local_update(cfg.train, _client_rng(run_seed, round_num, c.client_id))
-               for c in clients]
-    local_params = [vec for vec, _ in results]
-    local_acc = np.array([acc for _, acc in results])
+    local_params, local_acc = train_clients(
+        clients, cfg.train, [_client_rng(run_seed, round_num, c.client_id) for c in clients])
 
     if cfg.strategy is AggregationStrategy.DW_FEDAVG:
         idx = update_priority_index(idx, local_acc)
@@ -192,7 +242,7 @@ def run_round(
 
 def setup_repeat(
     cfg: ExperimentConfig, dataset: Dataset, run_seed: int
-) -> tuple[Dataset, list[ClientState], np.ndarray, PriorityIndex]:
+) -> tuple[Dataset, ClientStack, np.ndarray, PriorityIndex]:
     """Split, shard and initialize one repeat; returns (holdout, clients, params, index)."""
     train, holdout = holdout_split(dataset, cfg.holdout_fraction,
                                    derive_seed(run_seed, _DOMAIN_HOLDOUT))
@@ -201,7 +251,10 @@ def setup_repeat(
     )
     global_net = init_network(dataset.features.shape[1], list(cfg.hidden_dims),
                               seed=derive_seed(run_seed, _DOMAIN_INIT))
-    clients = [ClientState(s.client_id, s, global_net.copy()) for s in shards]
+    order = np.argsort([-len(s.train) for s in shards], kind="stable")
+    params = np.tile(global_net.params, (len(shards), 1))
+    clients = ClientStack([ClientState(s.client_id, s, DenseNetwork(global_net.layer_dims, params[row]))
+                           for s, row in zip(shards, np.argsort(order))], params, order)
     return holdout, clients, global_net.to_vector(), PriorityIndex.uniform(cfg.n_clients, cfg.alpha)
 
 

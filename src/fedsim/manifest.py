@@ -156,6 +156,8 @@ class RunManifest:
                     setattr(m, attr, value)
                 continue
             name = section.split(".", 1)[1].strip().lower()
+            if not name:
+                raise ConfigError(f"{path}: [{section}] names no dataset")
             if "path" not in values:
                 raise ConfigError(f"{path}: [{section}] is missing the 'path' key")
             if name in m.datasets:
@@ -224,6 +226,12 @@ def _str_list(raw: str) -> list[str]:
     return [part.strip().lower() for part in raw.split(",") if part.strip()]
 
 
+def _directory(raw: str) -> Path:
+    if not raw.strip():
+        raise ValueError("empty path")
+    return Path(raw)
+
+
 def _boolean(raw: str) -> bool:
     if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
         raise ValueError(f"expected true or false, got {raw!r}")
@@ -254,7 +262,7 @@ _MANIFEST_KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
     "defaults": {**{name: (name, parse) for name, parse in SETTINGS.items()},
                  **{alias: (name, SETTINGS[name]) for alias, name in _ALIASES.items()}},
     "grid": {axis: (f"grid_{axis}", parse) for axis, parse in GRID_AXES.items()},
-    "output": {"dir": ("out_dir", Path)},
+    "output": {"dir": ("out_dir", _directory)},
     "dataset.*": {"path": ("path", str), "label_column": ("label_column", str),
                   "labels": ("label_map", _parse_label_map), "scale": ("scale", _boolean)},
 }

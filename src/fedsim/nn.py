@@ -13,8 +13,11 @@ views into it, and gradients are written into a buffer of the same layout.
 
 One layer loop (``_forward``) computes the activations both for scoring
 (``DenseNetwork.forward``) and for backprop, so the network that scores a
-model is the one SGD trained. ``sgd_epoch`` updates a network in place and
-returns the epoch's mean loss.
+model is the one SGD trained. It runs on a stack of G networks, the rows of
+a (G, P) parameter array, with one batch each: every GEMM is one 3-D
+``np.matmul`` and every elementwise step one numpy call across the stack.
+``sgd_epochs`` trains such a stack in place; ``sgd_epoch`` is the stack of
+one. Each network's arithmetic is the one it would do alone, bit for bit.
 """
 from __future__ import annotations
 
@@ -63,7 +66,9 @@ class DenseNetwork:
     def __post_init__(self) -> None:
         self.layer_dims = list(self.layer_dims)
         self.params = np.ascontiguousarray(self.params, dtype=np.float64)
-        self.weights, self.biases = _layer_views(self.params, self.layer_dims)
+        weights, biases = _layer_views(self.params[None], self.layer_dims)
+        self.weights = [w[0] for w in weights]
+        self.biases = [b[0, 0] for b in biases]
 
     @property
     def input_dim(self) -> int:
@@ -97,23 +102,27 @@ class DenseNetwork:
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
         """Probability of the positive class for each row of ``batch``."""
-        return _forward(self, _check_batch(batch, self.input_dim))[-1].ravel()
+        X = _check_batch(batch, self.input_dim)
+        return _forward(*_layer_views(self.params[None], self.layer_dims), X[None])[-1].ravel()
 
 
-def _layer_views(flat: np.ndarray, layer_dims: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer (weights, biases) views into a flat buffer in the canonical layout.
+def _layer_views(stack: np.ndarray, layer_dims: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer (weights, biases) views into a (G, P) stack of flat buffers in the canonical layout.
 
-    This is the only place the layout is spelled out.
+    ``weights[k]`` has shape (G, layer_dims[k], layer_dims[k+1]) and
+    ``biases[k]`` (G, 1, layer_dims[k+1]), so that a bias broadcasts over a
+    stack of batches. This is the only place the layout is spelled out.
     """
     size = _param_count(layer_dims)
-    if flat.ndim != 1 or flat.size != size:
-        raise ValueError(f"expected a flat vector of length {size}, got shape {flat.shape}")
+    if stack.ndim != 2 or stack.shape[1] != size:
+        raise ValueError(f"expected flat vectors of length {size}, got shape {stack.shape[1:]}")
+    n = stack.shape[0]
     weights, biases = [], []
     pos = 0
     for rows, cols in zip(layer_dims[:-1], layer_dims[1:]):
-        weights.append(flat[pos : pos + rows * cols].reshape(rows, cols))
+        weights.append(stack[:, pos : pos + rows * cols].reshape(n, rows, cols))
         pos += rows * cols
-        biases.append(flat[pos : pos + cols])
+        biases.append(stack[:, None, pos : pos + cols])
         pos += cols
     return weights, biases
 
@@ -166,44 +175,50 @@ def init_network(input_dim: int, hidden_dims: list[int], seed: int) -> DenseNetw
     return net
 
 
-def _forward(net: DenseNetwork, X: np.ndarray) -> list[np.ndarray]:
-    """Every layer's activation for batch ``X``: X, each hidden ReLU output, the output probability.
+def _forward(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray) -> list[np.ndarray]:
+    """Every layer's activation for a stack of batches ``X`` (G, n, d), one per network.
 
-    The one forward pass: evaluation reads the last entry, backprop reads them all.
+    Returns X, each hidden ReLU output and the output probability, each of
+    shape (G, n, width). ``weights`` and ``biases`` are ``_layer_views`` of
+    the networks' (G, P) stack. The one forward pass: evaluation reads the
+    last entry, backprop reads them all.
     """
     acts = [X]
-    for k in range(net.n_layers):
-        z = acts[-1] @ net.weights[k]
-        z += net.biases[k]
-        acts.append(np.maximum(z, 0.0, out=z) if k < net.n_layers - 1 else _sigmoid(z))
+    for k in range(len(weights)):
+        z = acts[-1] @ weights[k]
+        z += biases[k]
+        acts.append(np.maximum(z, 0.0, out=z) if k < len(weights) - 1 else _sigmoid(z))
     return acts
 
 
-def _backward(net: DenseNetwork, X: np.ndarray, y: np.ndarray,
-              grad_views: tuple[list[np.ndarray], list[np.ndarray]]) -> float:
-    """Mean BCE loss for one batch; writes its gradient through ``grad_views``.
+def _backward(views, X: np.ndarray, y: np.ndarray, grad_views) -> np.ndarray:
+    """Mean BCE loss of each network on its batch; writes the gradients through ``grad_views``.
 
-    ``grad_views`` are the per-layer (weights, biases) views of a flat buffer
-    in the canonical layout, as built by ``_layer_views``.
+    ``views`` and ``grad_views`` are the ``_layer_views`` of a (G, P)
+    parameter stack and of a gradient buffer of the same shape; ``X`` is
+    (G, n, d) and ``y`` is (G, n). Returns the G losses.
     """
-    n = X.shape[0]
-    acts = _forward(net, X)  # acts[-1] is the output probability
+    weights, _ = views
+    n = X.shape[1]
+    acts = _forward(*views, X)  # acts[-1] is the output probability
 
     clipped = np.clip(acts[-1], PROB_CLIP, 1.0 - PROB_CLIP)
-    y_col = y.reshape(-1, 1)
-    loss = float(-np.mean(y_col * np.log(clipped) + (1.0 - y_col) * np.log(1.0 - clipped)))
+    y_col = y[:, :, None]
+    loss = -np.mean(y_col * np.log(clipped) + (1.0 - y_col) * np.log(1.0 - clipped), axis=(1, 2))
 
     grad_w, grad_b = grad_views
     delta = acts[-1]  # the probability is not read again, so delta takes over its buffer
     delta -= y_col
     delta /= n  # d(mean BCE)/d(z_out) for the sigmoid output
-    for k in range(net.n_layers - 1, -1, -1):
-        np.matmul(acts[k].T, delta, out=grad_w[k])
-        np.sum(delta, axis=0, out=grad_b[k])
+    for k in range(len(weights) - 1, -1, -1):
+        np.matmul(acts[k].transpose(0, 2, 1), delta, out=grad_w[k])
+        np.sum(delta, axis=1, keepdims=True, out=grad_b[k])
         if k > 0:
-            # a ReLU unit passes gradient where its output is positive
-            delta = delta @ net.weights[k].T
-            np.multiply(delta, acts[k] > 0.0, out=delta)
+            # a ReLU unit passes gradient where its output is positive; the
+            # activation is not read again, so the next delta takes over its buffer
+            passes = acts[k] > 0.0
+            delta = np.matmul(delta, weights[k].transpose(0, 2, 1), out=acts[k])
+            np.multiply(delta, passes, out=delta)
     return loss
 
 
@@ -212,33 +227,60 @@ def loss_and_gradient(net: DenseNetwork, batch, labels) -> tuple[float, np.ndarr
     X = _check_batch(batch, net.input_dim)
     y = _check_labels(labels, X.shape[0])
     grad = np.empty_like(net.params)
-    loss = _backward(net, X, y, _layer_views(grad, net.layer_dims))
-    return loss, grad
+    loss = _backward(_layer_views(net.params[None], net.layer_dims), X[None], y[None],
+                     _layer_views(grad[None], net.layer_dims))
+    return float(loss[0]), grad
+
+
+def sgd_epochs(stack: np.ndarray, layer_dims: list[int], Xs, ys, cfg: TrainConfig, rngs,
+               grad: np.ndarray) -> np.ndarray:
+    """One epoch of mini-batch SGD for each network of a (G, P) stack, updating ``stack`` in place.
+
+    Network g trains on ``Xs[g]``, ``ys[g]`` in the shuffle order drawn from
+    ``rngs[g]``, with the arithmetic it would do alone; its final short batch
+    is trained on like any other. At each step the networks whose batches
+    have equal size train as one stack: when the rows are ordered by set
+    size, longest first, each such group is a contiguous slice. ``grad`` is
+    scratch of the stack's shape. Returns each network's mean per-sample
+    loss over the epoch.
+    """
+    Xs = [_check_batch(X, layer_dims[0]) for X in Xs]
+    ys = [_check_labels(y, X.shape[0]) for X, y in zip(Xs, ys)]
+    sizes = np.array([X.shape[0] for X in Xs])
+    if not sizes.all():
+        raise ValueError("cannot train on an empty set")
+    perms = [rng.permutation(size) for rng, size in zip(rngs, sizes)]
+    y_perm = np.zeros((len(Xs), sizes.max()))
+    for row, (y, perm) in enumerate(zip(ys, perms)):
+        y_perm[row, : perm.size] = y[perm]
+    batch = np.empty((len(Xs), min(cfg.batch_size, sizes.max()), layer_dims[0]))
+    loss_sum = np.zeros(len(Xs))
+    for start in range(0, sizes.max(), cfg.batch_size):
+        batch_sizes = np.clip(sizes - start, 0, cfg.batch_size)
+        for row in np.flatnonzero(batch_sizes):
+            np.take(Xs[row], perms[row][start : start + batch_sizes[row]], axis=0,
+                    out=batch[row, : batch_sizes[row]], mode="clip")  # "raise" would buffer out
+        edges = [0, *(np.flatnonzero(np.diff(batch_sizes)) + 1), len(Xs)]
+        for lo, hi in zip(edges[:-1], edges[1:]):  # runs of rows with equal batch sizes
+            n = int(batch_sizes[lo])
+            if n:
+                loss = _backward(_layer_views(stack[lo:hi], layer_dims), batch[lo:hi, :n],
+                                 y_perm[lo:hi, start : start + n], _layer_views(grad[lo:hi], layer_dims))
+                loss_sum[lo:hi] += loss * n
+                grad[lo:hi] *= cfg.learning_rate
+                stack[lo:hi] -= grad[lo:hi]
+    return loss_sum / sizes
 
 
 def sgd_epoch(net: DenseNetwork, X, y, cfg: TrainConfig, rng: np.random.Generator) -> float:
     """One pass of mini-batch SGD over the training set, updating ``net`` in place.
 
     Returns the mean per-sample loss over the epoch. The shuffle order comes
-    from ``rng``; the final short batch is trained on like any other. One
-    gradient buffer serves every batch.
+    from ``rng``; the final short batch is trained on like any other. This is
+    ``sgd_epochs`` on a stack of one network.
     """
-    X = _check_batch(X, net.input_dim)
-    y = _check_labels(y, X.shape[0])
-    n = X.shape[0]
-    if n == 0:
-        raise ValueError("cannot train on an empty set")
-
-    grad = np.empty_like(net.params)
-    grad_views = _layer_views(grad, net.layer_dims)
-    perm = rng.permutation(n)
-    loss_sum = 0.0
-    for start in range(0, n, cfg.batch_size):
-        idx = perm[start : start + cfg.batch_size]
-        loss_sum += _backward(net, X[idx], y[idx], grad_views) * idx.size
-        grad *= cfg.learning_rate
-        net.params -= grad
-    return loss_sum / n
+    stack = net.params[None]
+    return float(sgd_epochs(stack, net.layer_dims, [X], [y], cfg, [rng], np.empty_like(stack))[0])
 
 
 def predict_labels(net: DenseNetwork, batch) -> np.ndarray:

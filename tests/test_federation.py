@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
-from fedsim.aggregation import AggregationStrategy, PriorityIndex
+from fedsim.aggregation import AggregationStrategy, PriorityIndex, dw_fedavg, update_priority_index
 from fedsim.federation import (
     ClientState,
     ExperimentConfig,
+    _client_rng,
     derive_seed,
     run_experiment,
     run_round,
@@ -91,6 +92,29 @@ class TestRunRound:
             results[strategy] = new_params
         np.testing.assert_array_equal(results[AggregationStrategy.FEDAVG],
                                       results[AggregationStrategy.DW_FEDAVG])
+
+    def test_matches_clients_trained_one_by_one(self, small_dataset):
+        # 7 clients hold 72-74 training rows, not in client order, so every
+        # epoch ends in batches of 8, 9 and 10 rows
+        cfg = small_config(n_clients=7)
+        holdout, clients, params, idx = setup_repeat(cfg, small_dataset, run_seed=5)
+        _, alone, alone_params, alone_idx = setup_repeat(cfg, small_dataset, run_seed=5)
+        assert len({len(c.shard.train) for c in clients}) == 3
+        for round_num in (1, 2):
+            params, idx, report = run_round(params, clients, idx, cfg, holdout=holdout,
+                                            run_seed=5, round_num=round_num)
+            results = []
+            for client in alone:
+                client.receive_global(alone_params)
+                results.append(client.local_update(
+                    cfg.train, _client_rng(5, round_num, client.client_id)))
+            accs = np.array([acc for _, acc in results])
+            alone_idx = update_priority_index(alone_idx, accs)
+            alone_params = dw_fedavg([vec for vec, _ in results], alone_idx)
+            assert params.tobytes() == alone_params.tobytes()
+            assert report.client_local_acc.tolist() == accs.tolist()
+            for client, ref in zip(clients, alone):
+                assert client.model.params.tobytes() == ref.model.params.tobytes()
 
     def test_betas_stay_uniform_in_round_one_and_move_later(self, small_dataset):
         cfg = small_config(n_rounds=3)

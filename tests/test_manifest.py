@@ -183,6 +183,20 @@ class TestLoad:
             RunManifest.load(path)
         assert str(err.value) == f"{path}: [dataset.x] labels: label '{twice}' is mapped twice"
 
+    @pytest.mark.parametrize("section", ["dataset.", "dataset. "])
+    def test_dataset_section_without_a_name_is_config_error(self, tmp_path, section):
+        path = write_manifest(tmp_path, f"[{section}]\npath = x.csv\n")
+        with pytest.raises(ConfigError) as err:
+            RunManifest.load(path)
+        assert str(err.value) == f"{path}: [{section}] names no dataset"
+
+    @pytest.mark.parametrize("value", ["", "  "])
+    def test_empty_output_dir_is_config_error(self, tmp_path, value):
+        path = write_manifest(tmp_path, f"[output]\ndir ={value}\n")
+        with pytest.raises(ConfigError) as err:
+            RunManifest.load(path)
+        assert str(err.value) == f"{path}: [output] dir: empty path"
+
     @pytest.mark.parametrize("first, second", [("Toy", "toy"), ("toy", " toy")])
     def test_dataset_declared_twice_is_config_error(self, tmp_path, first, second):
         text = f"[dataset.{first}]\npath = a.csv\n\n[dataset.{second}]\npath = b.csv\n"

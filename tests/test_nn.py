@@ -10,6 +10,7 @@ from fedsim.nn import (
     loss_and_gradient,
     predict_labels,
     sgd_epoch,
+    sgd_epochs,
 )
 from fedsim.synth import make_two_cluster
 
@@ -286,6 +287,28 @@ class TestSgd:
             assert trained.params.tobytes() == ref.params.tobytes()
             assert np.float64(loss).tobytes() == np.float64(ref_loss / 70).tobytes()
         assert not np.array_equal(trained.params, net.params)
+
+    @pytest.mark.parametrize("sizes", [(70, 69, 64, 33), (33, 70, 64, 69)],
+                             ids=["longest-first", "unordered"])
+    @pytest.mark.parametrize("batch_size", [32, 7, 1])
+    def test_a_stack_trains_like_its_networks_alone(self, sizes, batch_size):
+        # unequal sets give a step's batches several sizes, so the stack splits
+        # into runs of equal size; unordered, rows of one size are not adjacent
+        rng = np.random.default_rng(16)
+        nets = [init_network(5, [6, 4], seed) for seed in range(len(sizes))]
+        Xs = [rng.normal(size=(n, 5)) for n in sizes]
+        ys = [rng.integers(0, 2, size=n) for n in sizes]
+        cfg = TrainConfig(learning_rate=0.3, batch_size=batch_size)
+        stack = np.array([net.params for net in nets])
+        stack_rngs = [np.random.default_rng(seed) for seed in range(len(sizes))]
+        alone_rngs = [np.random.default_rng(seed) for seed in range(len(sizes))]
+        for _ in range(3):
+            losses = sgd_epochs(stack, nets[0].layer_dims, Xs, ys, cfg, stack_rngs,
+                                np.empty_like(stack))
+            alone = [sgd_epoch(net, X, y, cfg, r) for net, X, y, r in zip(nets, Xs, ys, alone_rngs)]
+            assert stack.tobytes() == np.array([net.params for net in nets]).tobytes()
+            assert losses.tobytes() == np.array(alone).tobytes()
+        assert len({net.params.tobytes() for net in nets}) == len(nets)
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(11)
