@@ -8,6 +8,7 @@ by their seed.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -106,9 +107,15 @@ class ClientShard:
     test_indices: np.ndarray
 
 
+# Lines per np.loadtxt call. A block holding one row that the C reader cannot
+# take exactly is re-read row by row, so a larger block costs more on a dirty
+# file; a smaller one pays loadtxt's per-call overhead more often.
+_BLOCK_LINES = 256
+
+
 def load_csv(path, label_column: str, label_mapping: dict[str, int] | None = None,
              name: str | None = None) -> Dataset:
-    """Load a header-ed CSV feature table into a Dataset.
+    """Load a header-ed UTF-8 CSV feature table (with or without a BOM) into a Dataset.
 
     ``label_mapping`` translates textual classes to {0, 1}; when omitted the
     default map (B/S, benign/malware/goodware, 0/1) applies. Rows containing
@@ -122,51 +129,37 @@ def load_csv(path, label_column: str, label_mapping: dict[str, int] | None = Non
     mapping = {k.lower(): v for k, v in (label_mapping or DEFAULT_LABEL_MAP).items()}
     name = name or path.stem
 
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        try:
-            label_idx = header.index(label_column)
-        except ValueError:
-            raise DatasetError(f"{path}: label column {label_column!r} not in header") from None
+    text = _read_text(path)
+    # A quoted cell may hold a comma or a line end, so only a file without
+    # quotes has one record per line.
+    quoted = '"' in text
+    if quoted:
+        records = csv.reader(io.StringIO(text, newline=""))
+    else:
+        # The line ends csv splits records at (str.splitlines knows more).
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if not lines[-1]:
+            lines.pop()
+        records = csv.reader(lines[:1])
+    del text  # free it before the rows are built
+    header = next(records, None)
+    if header is None:
+        raise DatasetError(f"{path}: file is empty")
+    header = [h.strip() for h in header]
+    label_idx = _label_index(path, header, label_column)
 
-        feature_names = [h for i, h in enumerate(header) if i != label_idx]
-        rows: list[np.ndarray] = []
-        labels: list[int] = []
-        dropped = 0
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                dropped += 1
-                continue
-            raw_label = row[label_idx].strip()
-            if not raw_label:
-                dropped += 1
-                continue
-            if raw_label.lower() not in mapping:
-                raise DatasetError(f"{path}:{lineno}: unknown label value {raw_label!r}")
-            cells = row[:label_idx] + row[label_idx + 1 :]
-            try:
-                values = np.array(cells, dtype=np.float64)
-            except ValueError:
-                dropped += 1
-                continue
-            if not np.isfinite(values).all():
-                dropped += 1
-                continue
-            rows.append(values)
-            labels.append(mapping[raw_label.lower()])
-
-    if not rows:
+    if quoted:
+        features, labels, dropped = _rows_by_rule(path, records, 2, len(header), label_idx,
+                                                  mapping)
+    else:
+        features, labels, dropped = _read_lines(path, lines[1:], len(header), label_idx, mapping)
+    if not len(labels):
         raise DatasetError(f"{path}: no usable data rows")
     ds = Dataset(
         name=name,
-        features=np.vstack(rows),
-        labels=np.asarray(labels, dtype=np.int64),
-        feature_names=feature_names,
+        features=features,
+        labels=labels,
+        feature_names=[h for i, h in enumerate(header) if i != label_idx],
         n_dropped=dropped,
     )
     if dropped:
@@ -176,6 +169,104 @@ def load_csv(path, label_column: str, label_mapping: dict[str, int] | None = Non
         raise DatasetError(f"{path}: labels contain a single class only")
     _check_known_profile(ds)
     return ds
+
+
+def _read_text(path: Path) -> str:
+    """The file decoded as UTF-8, less a leading BOM (the utf-8-sig codec)."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} "
+                           f"at offset {exc.start}") from None
+
+
+def _label_index(path: Path, header: list[str], label_column: str) -> int:
+    positions = [i for i, h in enumerate(header) if h == label_column]
+    if not positions:
+        raise DatasetError(f"{path}: label column {label_column!r} not in header")
+    if len(positions) > 1:
+        raise DatasetError(f"{path}: label column {label_column!r} appears more than once in "
+                           f"the header, at columns {', '.join(str(i + 1) for i in positions)}")
+    if len(header) == 1:
+        raise DatasetError(f"{path}: no feature column besides label column {label_column!r}")
+    return positions[0]
+
+
+def _read_lines(path: Path, lines: list[str], n_cols: int, label_idx: int,
+                mapping: dict[str, int]) -> tuple[np.ndarray, np.ndarray, int]:
+    """(features, labels, dropped) of unquoted body lines, read in blocks into one array."""
+    features = np.empty((len(lines), n_cols - 1))
+    labels = np.empty(len(lines), dtype=np.int64)
+    n = dropped = 0
+    for start in range(0, len(lines), _BLOCK_LINES):
+        block_features, block_labels, block_dropped = _read_block(
+            path, lines[start : start + _BLOCK_LINES], start + 2, n_cols, label_idx, mapping)
+        features[n : n + len(block_labels)] = block_features
+        labels[n : n + len(block_labels)] = block_labels
+        n += len(block_labels)
+        dropped += block_dropped
+    return features[:n], labels[:n], dropped
+
+
+def _read_block(path: Path, lines: list[str], first_lineno: int, n_cols: int, label_idx: int,
+                mapping: dict[str, int]) -> tuple[np.ndarray, np.ndarray, int]:
+    """(features, labels, dropped) of unquoted lines, parsed by numpy's C reader.
+
+    loadtxt gives every cell it accepts the double ``float()`` gives it. A block
+    it rejects (a cell it cannot parse, an empty or unknown label, a ragged row)
+    or would misread (it skips blank lines) goes through the row rules instead.
+    """
+    if "" not in lines:
+        try:
+            table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
+                               dtype=np.float64, ndmin=2,
+                               converters={label_idx: lambda cell: mapping[cell.strip().lower()]})
+        except ValueError:
+            table = None
+        if table is not None and table.shape == (len(lines), n_cols):
+            finite = np.isfinite(table).all(axis=1)
+            if not finite.all():
+                table = table[finite]
+            return (np.delete(table, label_idx, axis=1), table[:, label_idx].astype(np.int64),
+                    len(lines) - len(table))
+    return _rows_by_rule(path, csv.reader(lines), first_lineno, n_cols, label_idx, mapping)
+
+
+def _rows_by_rule(path: Path, records, first_lineno: int, n_cols: int, label_idx: int,
+                  mapping: dict[str, int]) -> tuple[np.ndarray, np.ndarray, int]:
+    """(features, labels, dropped) of csv records, one row at a time.
+
+    A row is dropped when its length differs from the header's, its label is
+    empty, or a feature cell is not a finite number; an unknown label is an
+    error naming its line.
+    """
+    rows: list[np.ndarray] = []
+    labels: list[int] = []
+    dropped = 0
+    for lineno, row in enumerate(records, start=first_lineno):
+        if len(row) != n_cols:
+            dropped += 1
+            continue
+        raw_label = row[label_idx].strip()
+        if not raw_label:
+            dropped += 1
+            continue
+        if raw_label.lower() not in mapping:
+            raise DatasetError(f"{path}:{lineno}: unknown label value {raw_label!r}")
+        cells = row[:label_idx] + row[label_idx + 1 :]
+        try:
+            values = np.array(cells, dtype=np.float64)
+        except ValueError:
+            dropped += 1
+            continue
+        if not np.isfinite(values).all():
+            dropped += 1
+            continue
+        rows.append(values)
+        labels.append(mapping[raw_label.lower()])
+    features = np.vstack(rows) if rows else np.empty((0, n_cols - 1))
+    return features, np.asarray(labels, dtype=np.int64), dropped
 
 
 def _check_known_profile(ds: Dataset) -> None:
@@ -197,9 +288,11 @@ def min_max_scale(ds: Dataset) -> Dataset:
     lo = ds.features.min(axis=0)
     hi = ds.features.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
+    features = ds.features - lo
+    features /= span
     return Dataset(
         name=ds.name,
-        features=(ds.features - lo) / span,
+        features=features,
         labels=ds.labels.copy(),
         feature_names=ds.feature_names,
         n_dropped=ds.n_dropped,

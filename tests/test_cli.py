@@ -266,6 +266,15 @@ class TestRunCommand:
         assert err.startswith("error: ") and named in err
         assert not out.exists()
 
+    def test_csv_that_is_not_utf8_is_exit_two_before_any_output(self, tmp_path, capsys):
+        (tmp_path / "toy.csv").write_bytes(b"f\xe4,class\n1,B\n0,S\n")
+        manifest = write(tmp_path, "[grid]\ndatasets = toy\n\n[dataset.toy]\npath = toy.csv\n")
+        out = tmp_path / "o"
+        code = main(["run", "--manifest", str(manifest), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "toy.csv: not UTF-8 text: byte 0xe4 at offset 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, named", [
         ("[defaults]\nalpha = lots\n", "[defaults] alpha: could not convert string to float"),
         ("[dataset.toy]\npath = toy.csv\nlabels = B:0, b:1, S:1\n",

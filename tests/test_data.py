@@ -1,12 +1,16 @@
 """Dataset loading, holdout splitting and client partition tests."""
+import csv
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedsim.data import (
+    DEFAULT_LABEL_MAP,
     Dataset,
     DatasetError,
+    _check_known_profile,
     holdout_split,
     load_csv,
     min_max_scale,
@@ -93,12 +97,182 @@ class TestLoadCsv:
         ds = load_csv(p, "class")
         assert len(ds) == 2
 
+    def test_non_utf8_byte_is_error_with_offset(self, tmp_path):
+        p = tmp_path / "toy.csv"
+        p.write_bytes(b"\xef\xbb\xbff\xe4,class\n1,B\n2,S\n")
+        with pytest.raises(DatasetError, match=r"toy.csv: not UTF-8 text: byte 0xe4 at offset 4"):
+            load_csv(p, "class")
+
+    def test_header_with_only_the_label_column(self, tmp_path):
+        p = write_csv(tmp_path / "toy.csv", "class\nB\nS\n")
+        with pytest.raises(DatasetError, match="toy.csv: no feature column"):
+            load_csv(p, "class")
+
+    def test_label_column_named_twice(self, tmp_path):
+        p = write_csv(tmp_path / "toy.csv", "f0,class,class\n1,B,B\n2,S,S\n")
+        with pytest.raises(DatasetError,
+                           match=r"toy.csv: label column 'class' .* at columns 2, 3"):
+            load_csv(p, "class")
+
     def test_known_name_shape_mismatch_warns_not_fails(self, tmp_path, caplog):
         p = write_csv(tmp_path / "m.csv", "a,class\n1,B\n2,S\n")
         with caplog.at_level(logging.WARNING):
             ds = load_csv(p, "class", name="malgenome")
         assert len(ds) == 2
         assert "published reference" in caplog.text
+
+
+def reference_load_csv(path, label_column, label_mapping=None, name=None):
+    """Reference loader: csv records, one np.array call per row.
+
+    load_csv must give the same rows, drops, warnings and errors on the corpus below.
+    """
+    log = logging.getLogger("reference_load_csv")
+    path = Path(path)
+    if not path.is_file():
+        raise DatasetError(f"dataset file not found: {path}")
+    mapping = {k.lower(): v for k, v in (label_mapping or DEFAULT_LABEL_MAP).items()}
+    name = name or path.stem
+
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DatasetError(f"{path}: file is empty") from None
+        header = [h.strip() for h in header]
+        try:
+            label_idx = header.index(label_column)
+        except ValueError:
+            raise DatasetError(f"{path}: label column {label_column!r} not in header") from None
+
+        feature_names = [h for i, h in enumerate(header) if i != label_idx]
+        rows: list[np.ndarray] = []
+        labels: list[int] = []
+        dropped = 0
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                dropped += 1
+                continue
+            raw_label = row[label_idx].strip()
+            if not raw_label:
+                dropped += 1
+                continue
+            if raw_label.lower() not in mapping:
+                raise DatasetError(f"{path}:{lineno}: unknown label value {raw_label!r}")
+            cells = row[:label_idx] + row[label_idx + 1 :]
+            try:
+                values = np.array(cells, dtype=np.float64)
+            except ValueError:
+                dropped += 1
+                continue
+            if not np.isfinite(values).all():
+                dropped += 1
+                continue
+            rows.append(values)
+            labels.append(mapping[raw_label.lower()])
+
+    if not rows:
+        raise DatasetError(f"{path}: no usable data rows")
+    ds = Dataset(
+        name=name,
+        features=np.vstack(rows),
+        labels=np.asarray(labels, dtype=np.int64),
+        feature_names=feature_names,
+        n_dropped=dropped,
+    )
+    if dropped:
+        log.warning("%s: dropped %d rows with missing or non-numeric cells", name, dropped)
+    benign, malware = ds.class_counts()
+    if benign == 0 or malware == 0:
+        raise DatasetError(f"{path}: labels contain a single class only")
+    _check_known_profile(ds)
+    return ds
+
+
+def _multi_block_table(n_rows=3 * 256 + 41, bad_lines=(), unknown_label_line=None):
+    """A 3-feature table over more than three 256-line blocks, cells in awkward spellings."""
+    rng = np.random.default_rng(11)
+    awkward = ["0.1", "0.30000000000000004", "5e-324", "2.2250738585072014e-308",
+               "1.7976931348623157e308", "9007199254740993", "-0", "+.5", " 7 ", "1E3"]
+    lines = ["f0,f1,class,f2"]
+    for i in range(n_rows):
+        cells = [repr(float(v)) for v in rng.normal(0, 1e3, 3)]
+        cells[i % 3] = awkward[i % len(awkward)]
+        cells.insert(2, "B" if rng.random() < 0.6 else "s")
+        lines.append(",".join(cells))
+    for lineno, text in bad_lines:
+        lines[lineno - 1] = text
+    if unknown_label_line is not None:
+        lines[unknown_label_line - 1] = "1,2,weird,3"
+    return "\n".join(lines) + "\n"
+
+
+# Bad rows on both sides of the block boundaries at lines 257/258 and 513/514.
+_BOUNDARY_ROWS = [(256, "1,?,B,2"), (257, "1,2,S"), (258, ""), (259, "nan,1,B,2"),
+                  (513, "1,2,B,3,4"), (514, "   "), (515, "1,inf,S,2"), (700, "1,2,,3")]
+
+# Each entry is written as the file's bytes and read with label column "class".
+LOADER_CORPUS = [
+    pytest.param(b"f0,f1,class\r\n1,2,B\r\n3,4,S\r\n", id="crlf"),
+    pytest.param(b"f0,f1,class\r1,2,B\r3,4,S\r", id="lone-cr"),
+    pytest.param(b"f0,f1,class\n1,2,B\r\n3,4,S\r5,6,B\r\r\n7,8,S", id="mixed-line-ends"),
+    pytest.param(b"\xef\xbb\xbff0,f1,class\n1,2,B\n3,4,S\n", id="bom"),
+    pytest.param(b"\xef\xbb\xbf", id="bom-only"),
+    pytest.param(b"", id="empty"),
+    pytest.param(b"f0,class\n", id="header-only"),
+    pytest.param(b"\nf0,class\n1,B\n2,S\n", id="blank-first-line"),
+    pytest.param(b"f0,f1,class\n\n1,2,B\n   \n\t\n3,4,S\n\n\n", id="blank-and-whitespace-lines"),
+    pytest.param(b"f0,f1,class\n1,2,B\n3,S\n1,2,3,B\n4,5,S,\n6,7,B\n8,9,S\n", id="short-long-trailing-comma"),
+    pytest.param(b"f0,f1,class\n1,2,B,3\n4,5,S,6\n", id="extra-column-on-every-row"),
+    pytest.param(b"f0,f1,class,f2\n1,2,B\n3,4,S\n", id="missing-column-on-every-row"),
+    pytest.param(b"f0,f1,class\n?,2,B\n1,,S\n3,4,B\n5,6,S\n", id="question-mark-and-empty-cells"),
+    pytest.param(b"f0,f1,class\nnan,1,B\n1,inf,S\n-inf,2,B\n1e999,2,S\n3,4,B\n5,6,S\nInfinity,1,B\n",
+                 id="non-finite"),
+    pytest.param("f0,f1,class\n1_0,2,B\n\u0661,3,S\n4,5,B\n".encode(), id="underscore-and-arabic-digit"),
+    pytest.param("f0,f1,class\n 1 ,2\t,B\n\xa01,2, S \n3,\x0c4,b\n1\x85,2\u2028,S\n1\x00,2,B\n"
+                 "\x1c,1,S\n1\x0b,1,B\n".encode(), id="odd-whitespace-and-separators"),
+    pytest.param(b'f0,f1,class\n"1",2,B\n"1,5",2,S\n3,"4\n5",B\n6,7,"S"\n8,9,B\n', id="quoted-cells"),
+    pytest.param(b'f0,class\n"1\n2",B\n3,S\n4,weird\n', id="unknown-label-after-quoted-newline"),
+    pytest.param(b'"f0","class"\n1,B\n2,S\n', id="quoted-header"),
+    pytest.param(b"f0,class\n1,B\n2,\n3, \n4,S\n", id="empty-label"),
+    pytest.param(b"f0,class\n1,B\nx,S\n2,S\n3,weird\n", id="unknown-label-after-dropped-row"),
+    pytest.param(b"f0,f1,class\n1,weird\n1,2,B\n3,4,S\n", id="unknown-label-on-short-row"),
+    pytest.param(b"f0,class\nx,weird\n1,B\n", id="unknown-label-on-bad-cell-row"),
+    pytest.param(b"class,f0,f1\n1,2,3\n0,4,5\nMalware,6,7\ngoodware,8,9\n", id="label-first"),
+    pytest.param(b"f0,class\nx,B\n", id="no-usable-rows"),
+    pytest.param(b"f0,class\n1,B\n2,B\n", id="single-class"),
+    pytest.param(b"a,b\n1,2\n", id="no-label-column"),
+    pytest.param(b"f0,class\n1,B\n2,S\n" + b"\n" * 300, id="a-block-of-blank-lines"),
+    pytest.param(_multi_block_table().encode(), id="three-clean-blocks"),
+    pytest.param(_multi_block_table(bad_lines=_BOUNDARY_ROWS).encode(),
+                 id="bad-rows-across-block-boundaries"),
+    pytest.param(_multi_block_table(bad_lines=_BOUNDARY_ROWS, unknown_label_line=600).encode(),
+                 id="unknown-label-in-third-block"),
+    pytest.param(_multi_block_table(bad_lines=_BOUNDARY_ROWS).replace("\n", "\r\n").encode(),
+                 id="three-blocks-crlf"),
+]
+
+
+def _load_outcome(loader, path, caplog):
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        try:
+            ds = loader(path, "class")
+        except DatasetError as exc:
+            return ("error", str(exc))
+    messages = [r.getMessage() for r in caplog.records]
+    return (ds.features.shape, ds.features.tobytes(), ds.labels.tolist(), ds.feature_names,
+            ds.n_dropped, messages)
+
+
+class TestLoaderMatchesRowReference:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("content", LOADER_CORPUS)
+    def test_same_rows_drops_warnings_and_errors(self, tmp_path, caplog, content):
+        p = tmp_path / "table.csv"
+        p.write_bytes(content)
+        assert _load_outcome(load_csv, p, caplog) == _load_outcome(reference_load_csv, p, caplog)
 
 
 class TestHoldoutSplit:
@@ -226,6 +400,14 @@ class TestScalingAndDataset:
         scaled = min_max_scale(ds)
         assert scaled.features.min() == 0.0
         assert scaled.features.max() == 1.0
+
+    def test_min_max_scale_is_byte_equal_to_the_textbook_formula(self):
+        X = np.random.default_rng(3).normal(0, 10, size=(40, 5))
+        X[:, 2] = 4.0
+        scaled = min_max_scale(Dataset(name="x", features=X, labels=np.zeros(40, np.int64)))
+        lo, hi = X.min(axis=0), X.max(axis=0)
+        expected = (X - lo) / np.where(hi > lo, hi - lo, 1.0)
+        assert scaled.features.tobytes() == expected.tobytes()
 
     def test_constant_column_maps_to_zero(self):
         ds = Dataset(name="x", features=np.array([[3.0, 1.0], [3.0, 2.0]]),
