@@ -8,7 +8,6 @@ by their seed.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -107,10 +106,13 @@ class ClientShard:
     test_indices: np.ndarray
 
 
-# Lines per np.loadtxt call. A block holding one row that the C reader cannot
-# take exactly is re-read row by row, so a larger block costs more on a dirty
-# file; a smaller one pays loadtxt's per-call overhead more often.
+# Lines per np.loadtxt call. A larger block pays loadtxt's per-call overhead
+# less often. A block that holds a line the C reader rejects is halved down to
+# _MIN_LINES, and a rejected block that size goes through the row rules: a
+# lone bad line costs a few more loadtxt calls, and a file of bad lines no more
+# than 2 * _BLOCK_LINES / _MIN_LINES calls per block.
 _BLOCK_LINES = 256
+_MIN_LINES = 16
 
 
 def load_csv(path, label_column: str, label_mapping: dict[str, int] | None = None,
@@ -122,6 +124,10 @@ def load_csv(path, label_column: str, label_mapping: dict[str, int] | None = Non
     cells that do not parse as finite numbers are dropped and counted. A label
     value missing from the mapping is an error; an empty label cell drops the
     row like any other missing value.
+
+    A body without a ``"`` is read by numpy's C reader (see ``_read_lines``);
+    one with a ``"`` is read record by record through ``csv``, at the speed of a
+    per-row loop, because a quoted cell may hold a comma or a line end.
     """
     path = Path(path)
     if not path.is_file():
@@ -129,30 +135,24 @@ def load_csv(path, label_column: str, label_mapping: dict[str, int] | None = Non
     mapping = {k.lower(): v for k, v in (label_mapping or DEFAULT_LABEL_MAP).items()}
     name = name or path.stem
 
-    text = _read_text(path)
-    # A quoted cell may hold a comma or a line end, so only a file without
-    # quotes has one record per line.
-    quoted = '"' in text
-    if quoted:
-        records = csv.reader(io.StringIO(text, newline=""))
-    else:
-        # The line ends csv splits records at (str.splitlines knows more).
-        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        if not lines[-1]:
-            lines.pop()
-        records = csv.reader(lines[:1])
-    del text  # free it before the rows are built
-    header = next(records, None)
-    if header is None:
-        raise DatasetError(f"{path}: file is empty")
-    header = [h.strip() for h in header]
-    label_idx = _label_index(path, header, label_column)
-
-    if quoted:
-        features, labels, dropped = _rows_by_rule(path, records, 2, len(header), label_idx,
-                                                  mapping)
-    else:
-        features, labels, dropped = _read_lines(path, lines[1:], len(header), label_idx, mapping)
+    # Split at the line ends csv splits records at (str.splitlines knows more).
+    lines = _read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        records = csv.reader(fh)
+        header = next(records, None)
+        if header is None:
+            raise DatasetError(f"{path}: file is empty")
+        header = [h.strip() for h in header]
+        label_idx = _label_index(path, header, label_column)
+        del lines[: records.line_num]  # the header's lines
+        if any('"' in line for line in lines):
+            del lines  # free it before the rows are built
+            features, labels, dropped = _rows_by_rule(path, records, 2, len(header), label_idx,
+                                                      mapping)
+        else:
+            features, labels, dropped = _read_lines(path, lines, len(header), label_idx, mapping)
     if not len(labels):
         raise DatasetError(f"{path}: no usable data rows")
     ds = Dataset(
@@ -195,13 +195,31 @@ def _label_index(path: Path, header: list[str], label_column: str) -> int:
 
 def _read_lines(path: Path, lines: list[str], n_cols: int, label_idx: int,
                 mapping: dict[str, int]) -> tuple[np.ndarray, np.ndarray, int]:
-    """(features, labels, dropped) of unquoted body lines, read in blocks into one array."""
+    """(features, labels, dropped) of unquoted body lines, read in blocks into one array.
+
+    A block the C reader rejects is halved and its halves read in turn; a
+    rejected block of _MIN_LINES or fewer, or one it returns in the wrong
+    shape, goes through the row rules.
+    """
     features = np.empty((len(lines), n_cols - 1))
     labels = np.empty(len(lines), dtype=np.int64)
     n = dropped = 0
-    for start in range(0, len(lines), _BLOCK_LINES):
-        block_features, block_labels, block_dropped = _read_block(
-            path, lines[start : start + _BLOCK_LINES], start + 2, n_cols, label_idx, mapping)
+    todo = [(start, min(start + _BLOCK_LINES, len(lines)))
+            for start in range(0, len(lines), _BLOCK_LINES)][::-1]  # next block last
+    while todo:
+        start, stop = todo.pop()
+        block = lines[start:stop]
+        try:
+            part = _read_block(block, n_cols, label_idx, mapping)
+        except ValueError:
+            if len(block) > _MIN_LINES:
+                mid = (start + stop) // 2
+                todo += [(mid, stop), (start, mid)]
+                continue
+            part = None
+        if part is None:
+            part = _rows_by_rule(path, csv.reader(block), start + 2, n_cols, label_idx, mapping)
+        block_features, block_labels, block_dropped = part
         features[n : n + len(block_labels)] = block_features
         labels[n : n + len(block_labels)] = block_labels
         n += len(block_labels)
@@ -209,28 +227,26 @@ def _read_lines(path: Path, lines: list[str], n_cols: int, label_idx: int,
     return features[:n], labels[:n], dropped
 
 
-def _read_block(path: Path, lines: list[str], first_lineno: int, n_cols: int, label_idx: int,
-                mapping: dict[str, int]) -> tuple[np.ndarray, np.ndarray, int]:
+def _read_block(lines: list[str], n_cols: int, label_idx: int,
+                mapping: dict[str, int]) -> tuple[np.ndarray, np.ndarray, int] | None:
     """(features, labels, dropped) of unquoted lines, parsed by numpy's C reader.
 
-    loadtxt gives every cell it accepts the double ``float()`` gives it. A block
-    it rejects (a cell it cannot parse, an empty or unknown label, a ragged row)
-    or would misread (it skips blank lines) goes through the row rules instead.
+    loadtxt gives every cell it accepts the double ``float()`` gives it. A
+    ValueError means it rejects the block (a cell it cannot parse, an empty or
+    unknown label, a ragged row) or would misread it (it skips blank lines);
+    None means the rows came back in the wrong shape.
     """
-    if "" not in lines:
-        try:
-            table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
-                               dtype=np.float64, ndmin=2,
-                               converters={label_idx: lambda cell: mapping[cell.strip().lower()]})
-        except ValueError:
-            table = None
-        if table is not None and table.shape == (len(lines), n_cols):
-            finite = np.isfinite(table).all(axis=1)
-            if not finite.all():
-                table = table[finite]
-            return (np.delete(table, label_idx, axis=1), table[:, label_idx].astype(np.int64),
-                    len(lines) - len(table))
-    return _rows_by_rule(path, csv.reader(lines), first_lineno, n_cols, label_idx, mapping)
+    if "" in lines:
+        raise ValueError("blank line")
+    table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, dtype=np.float64,
+                       ndmin=2, converters={label_idx: lambda cell: mapping[cell.strip().lower()]})
+    if table.shape != (len(lines), n_cols):
+        return None
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        table = table[finite]
+    return (np.delete(table, label_idx, axis=1), table[:, label_idx].astype(np.int64),
+            len(lines) - len(table))
 
 
 def _rows_by_rule(path: Path, records, first_lineno: int, n_cols: int, label_idx: int,

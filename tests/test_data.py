@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedsim import data
 from fedsim.data import (
     DEFAULT_LABEL_MAP,
     Dataset,
@@ -212,6 +213,10 @@ def _multi_block_table(n_rows=3 * 256 + 41, bad_lines=(), unknown_label_line=Non
 _BOUNDARY_ROWS = [(256, "1,?,B,2"), (257, "1,2,S"), (258, ""), (259, "nan,1,B,2"),
                   (513, "1,2,B,3,4"), (514, "   "), (515, "1,inf,S,2"), (700, "1,2,,3")]
 
+# Lines 300-340: every line bad in one of six ways, with good lines between.
+_DENSE_BAD_ROWS = [(n, ["1,?,B,2", "1,2,S", "", "1,2,B,3,4", "   ", "1,2,,3", "1,2,b,3"][n % 7])
+                   for n in range(300, 341)]
+
 # Each entry is written as the file's bytes and read with label column "class".
 LOADER_CORPUS = [
     pytest.param(b"f0,f1,class\r\n1,2,B\r\n3,4,S\r\n", id="crlf"),
@@ -251,6 +256,16 @@ LOADER_CORPUS = [
                  id="unknown-label-in-third-block"),
     pytest.param(_multi_block_table(bad_lines=_BOUNDARY_ROWS).replace("\n", "\r\n").encode(),
                  id="three-blocks-crlf"),
+    pytest.param(_multi_block_table(bad_lines=_DENSE_BAD_ROWS).encode(), id="a-run-of-bad-rows"),
+    pytest.param(_multi_block_table(bad_lines=_DENSE_BAD_ROWS, unknown_label_line=331).encode(),
+                 id="unknown-label-among-bad-rows"),
+    pytest.param(_multi_block_table(bad_lines=[(600, '1,"2",B,3')]).encode(),
+                 id="quoted-cell-in-third-block"),
+    pytest.param(_multi_block_table(bad_lines=[(1, '"f0","f1","class","f2"')]
+                                    + _BOUNDARY_ROWS).encode(),
+                 id="quoted-header-over-three-blocks"),
+    pytest.param(b'"f\r\n0",class\r\n1,B\r\n2,S\r\nx,S\r\n3,weird\r\n',
+                 id="line-end-in-quoted-header"),
 ]
 
 
@@ -273,6 +288,41 @@ class TestLoaderMatchesRowReference:
         p = tmp_path / "table.csv"
         p.write_bytes(content)
         assert _load_outcome(load_csv, p, caplog) == _load_outcome(reference_load_csv, p, caplog)
+
+
+class TestRowsReadByRule:
+    """Only the lines the C reader rejects, and those near them, are read row by row."""
+
+    @staticmethod
+    def _lines_read_by_rule(monkeypatch, path):
+        seen = []
+        rows_by_rule = data._rows_by_rule
+
+        def recording(path, records, first_lineno, *args):
+            records = list(records)
+            seen.extend(range(first_lineno, first_lineno + len(records)))
+            return rows_by_rule(path, records, first_lineno, *args)
+
+        monkeypatch.setattr(data, "_rows_by_rule", recording)
+        load_csv(path, "class")
+        return seen
+
+    @pytest.mark.parametrize("header", ['"f0","f1","class","f2"', '"f\r\n0",f1,class,"f\n2"'])
+    def test_a_clean_table_with_a_quoted_header_is_read_by_blocks(self, tmp_path, monkeypatch,
+                                                                   header):
+        text = _multi_block_table().replace("f0,f1,class,f2", header, 1)
+        p = write_csv(tmp_path / "t.csv", text)
+        assert self._lines_read_by_rule(monkeypatch, p) == []
+
+    def test_a_bad_line_takes_at_most_a_min_block_with_it(self, tmp_path, monkeypatch):
+        p = write_csv(tmp_path / "t.csv", _multi_block_table(bad_lines=[(300, "1,?,B,2")]))
+        seen = self._lines_read_by_rule(monkeypatch, p)
+        assert 300 in seen
+        assert len(seen) <= data._MIN_LINES
+
+    def test_a_quoted_body_is_read_by_rule(self, tmp_path, monkeypatch):
+        p = write_csv(tmp_path / "t.csv", _multi_block_table(bad_lines=[(600, '1,"2",B,3')]))
+        assert len(self._lines_read_by_rule(monkeypatch, p)) == 3 * 256 + 41
 
 
 class TestHoldoutSplit:
