@@ -106,13 +106,10 @@ class ClientShard:
     test_indices: np.ndarray
 
 
-# Lines per np.loadtxt call. A larger block pays loadtxt's per-call overhead
-# less often. A block that holds a line the C reader rejects is halved down to
-# _MIN_LINES, and a rejected block that size goes through the row rules: a
-# lone bad line costs a few more loadtxt calls, and a file of bad lines no more
-# than 2 * _BLOCK_LINES / _MIN_LINES calls per block.
-_BLOCK_LINES = 256
-_MIN_LINES = 16
+# Lines per np.loadtxt call. A block that holds a line the C reader rejects
+# goes through the row rules whole, so a larger block pays loadtxt's per-call
+# overhead less often but reads more lines by rule around each bad one.
+_BLOCK_LINES = 32
 
 
 def load_csv(path, label_column: str, label_mapping: dict[str, int] | None = None,
@@ -149,10 +146,11 @@ def load_csv(path, label_column: str, label_mapping: dict[str, int] | None = Non
         del lines[: records.line_num]  # the header's lines
         if any('"' in line for line in lines):
             del lines  # free it before the rows are built
-            features, labels, dropped = _rows_by_rule(path, records, 2, len(header), label_idx,
+            features, labels, dropped = _rows_by_rule(path, records, 0, len(header), label_idx,
                                                       mapping)
         else:
-            features, labels, dropped = _read_lines(path, lines, len(header), label_idx, mapping)
+            features, labels, dropped = _read_lines(path, lines, records.line_num, len(header),
+                                                    label_idx, mapping)
     if not len(labels):
         raise DatasetError(f"{path}: no usable data rows")
     ds = Dataset(
@@ -193,32 +191,23 @@ def _label_index(path: Path, header: list[str], label_column: str) -> int:
     return positions[0]
 
 
-def _read_lines(path: Path, lines: list[str], n_cols: int, label_idx: int,
+def _read_lines(path: Path, lines: list[str], offset: int, n_cols: int, label_idx: int,
                 mapping: dict[str, int]) -> tuple[np.ndarray, np.ndarray, int]:
     """(features, labels, dropped) of unquoted body lines, read in blocks into one array.
 
-    A block the C reader rejects is halved and its halves read in turn; a
-    rejected block of _MIN_LINES or fewer, or one it returns in the wrong
-    shape, goes through the row rules.
+    ``offset`` is the file line before the first of ``lines``. A block the C
+    reader rejects goes through the row rules.
     """
     features = np.empty((len(lines), n_cols - 1))
     labels = np.empty(len(lines), dtype=np.int64)
     n = dropped = 0
-    todo = [(start, min(start + _BLOCK_LINES, len(lines)))
-            for start in range(0, len(lines), _BLOCK_LINES)][::-1]  # next block last
-    while todo:
-        start, stop = todo.pop()
-        block = lines[start:stop]
+    for start in range(0, len(lines), _BLOCK_LINES):
+        block = lines[start : start + _BLOCK_LINES]
         try:
             part = _read_block(block, n_cols, label_idx, mapping)
         except ValueError:
-            if len(block) > _MIN_LINES:
-                mid = (start + stop) // 2
-                todo += [(mid, stop), (start, mid)]
-                continue
-            part = None
-        if part is None:
-            part = _rows_by_rule(path, csv.reader(block), start + 2, n_cols, label_idx, mapping)
+            part = _rows_by_rule(path, csv.reader(block), offset + start, n_cols, label_idx,
+                                 mapping)
         block_features, block_labels, block_dropped = part
         features[n : n + len(block_labels)] = block_features
         labels[n : n + len(block_labels)] = block_labels
@@ -228,20 +217,20 @@ def _read_lines(path: Path, lines: list[str], n_cols: int, label_idx: int,
 
 
 def _read_block(lines: list[str], n_cols: int, label_idx: int,
-                mapping: dict[str, int]) -> tuple[np.ndarray, np.ndarray, int] | None:
+                mapping: dict[str, int]) -> tuple[np.ndarray, np.ndarray, int]:
     """(features, labels, dropped) of unquoted lines, parsed by numpy's C reader.
 
     loadtxt gives every cell it accepts the double ``float()`` gives it. A
     ValueError means it rejects the block (a cell it cannot parse, an empty or
-    unknown label, a ragged row) or would misread it (it skips blank lines);
-    None means the rows came back in the wrong shape.
+    unknown label, a ragged row), would misread it (it skips blank lines) or
+    returns its rows in the wrong shape.
     """
     if "" in lines:
         raise ValueError("blank line")
     table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, dtype=np.float64,
                        ndmin=2, converters={label_idx: lambda cell: mapping[cell.strip().lower()]})
     if table.shape != (len(lines), n_cols):
-        return None
+        raise ValueError(f"rows of shape {table.shape}")
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         table = table[finite]
@@ -249,18 +238,18 @@ def _read_block(lines: list[str], n_cols: int, label_idx: int,
             len(lines) - len(table))
 
 
-def _rows_by_rule(path: Path, records, first_lineno: int, n_cols: int, label_idx: int,
+def _rows_by_rule(path: Path, records, offset: int, n_cols: int, label_idx: int,
                   mapping: dict[str, int]) -> tuple[np.ndarray, np.ndarray, int]:
-    """(features, labels, dropped) of csv records, one row at a time.
+    """(features, labels, dropped) of the records of a ``csv.reader``, one row at a time.
 
     A row is dropped when its length differs from the header's, its label is
     empty, or a feature cell is not a finite number; an unknown label is an
-    error naming its line.
+    error naming its file line, ``offset`` plus the reader's ``line_num``.
     """
     rows: list[np.ndarray] = []
     labels: list[int] = []
     dropped = 0
-    for lineno, row in enumerate(records, start=first_lineno):
+    for row in records:
         if len(row) != n_cols:
             dropped += 1
             continue
@@ -269,7 +258,8 @@ def _rows_by_rule(path: Path, records, first_lineno: int, n_cols: int, label_idx
             dropped += 1
             continue
         if raw_label.lower() not in mapping:
-            raise DatasetError(f"{path}:{lineno}: unknown label value {raw_label!r}")
+            raise DatasetError(f"{path}:{offset + records.line_num}: unknown label value "
+                               f"{raw_label!r}")
         cells = row[:label_idx] + row[label_idx + 1 :]
         try:
             values = np.array(cells, dtype=np.float64)

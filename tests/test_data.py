@@ -73,6 +73,16 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="toy.csv:3.*'weird'"):
             load_csv(p, "class")
 
+    @pytest.mark.parametrize("content, lineno", [
+        (b'f0,class\n"1\n2",B\n3,S\n4,weird\n', 5),
+        (b'"f\r\n0",class\r\n1,B\r\n2,S\r\nx,S\r\n3,weird\r\n', 6),
+    ], ids=["line-end-in-quoted-body", "line-end-in-quoted-header"])
+    def test_unknown_label_error_names_its_file_line(self, tmp_path, content, lineno):
+        p = tmp_path / "toy.csv"
+        p.write_bytes(content)
+        with pytest.raises(DatasetError, match=f"toy.csv:{lineno}: unknown label value 'weird'"):
+            load_csv(p, "class")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="not found"):
             load_csv(tmp_path / "nope.csv", "class")
@@ -124,7 +134,7 @@ class TestLoadCsv:
 
 
 def reference_load_csv(path, label_column, label_mapping=None, name=None):
-    """Reference loader: csv records, one np.array call per row.
+    """Reference loader: csv records, one np.array call per row, numbered by file line.
 
     load_csv must give the same rows, drops, warnings and errors on the corpus below.
     """
@@ -151,7 +161,7 @@ def reference_load_csv(path, label_column, label_mapping=None, name=None):
         rows: list[np.ndarray] = []
         labels: list[int] = []
         dropped = 0
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if len(row) != len(header):
                 dropped += 1
                 continue
@@ -160,7 +170,7 @@ def reference_load_csv(path, label_column, label_mapping=None, name=None):
                 dropped += 1
                 continue
             if raw_label.lower() not in mapping:
-                raise DatasetError(f"{path}:{lineno}: unknown label value {raw_label!r}")
+                raise DatasetError(f"{path}:{reader.line_num}: unknown label value {raw_label!r}")
             cells = row[:label_idx] + row[label_idx + 1 :]
             try:
                 values = np.array(cells, dtype=np.float64)
@@ -192,7 +202,10 @@ def reference_load_csv(path, label_column, label_mapping=None, name=None):
 
 
 def _multi_block_table(n_rows=3 * 256 + 41, bad_lines=(), unknown_label_line=None):
-    """A 3-feature table over more than three 256-line blocks, cells in awkward spellings."""
+    """A 3-feature table over many blocks, cells in awkward spellings.
+
+    The corpus ids below count 256-line thirds of it, not blocks.
+    """
     rng = np.random.default_rng(11)
     awkward = ["0.1", "0.30000000000000004", "5e-324", "2.2250738585072014e-308",
                "1.7976931348623157e308", "9007199254740993", "-0", "+.5", " 7 ", "1E3"]
@@ -298,10 +311,12 @@ class TestRowsReadByRule:
         seen = []
         rows_by_rule = data._rows_by_rule
 
-        def recording(path, records, first_lineno, *args):
-            records = list(records)
-            seen.extend(range(first_lineno, first_lineno + len(records)))
-            return rows_by_rule(path, records, first_lineno, *args)
+        def recording(path, records, offset, *args):
+            first = offset + records.line_num + 1
+            try:
+                return rows_by_rule(path, records, offset, *args)
+            finally:
+                seen.extend(range(first, offset + records.line_num + 1))
 
         monkeypatch.setattr(data, "_rows_by_rule", recording)
         load_csv(path, "class")
@@ -314,11 +329,10 @@ class TestRowsReadByRule:
         p = write_csv(tmp_path / "t.csv", text)
         assert self._lines_read_by_rule(monkeypatch, p) == []
 
-    def test_a_bad_line_takes_at_most_a_min_block_with_it(self, tmp_path, monkeypatch):
+    def test_a_bad_line_takes_its_block_with_it(self, tmp_path, monkeypatch):
         p = write_csv(tmp_path / "t.csv", _multi_block_table(bad_lines=[(300, "1,?,B,2")]))
-        seen = self._lines_read_by_rule(monkeypatch, p)
-        assert 300 in seen
-        assert len(seen) <= data._MIN_LINES
+        # Body lines start at line 2, so the block holding line 300 is lines 290-321.
+        assert self._lines_read_by_rule(monkeypatch, p) == list(range(290, 322))
 
     def test_a_quoted_body_is_read_by_rule(self, tmp_path, monkeypatch):
         p = write_csv(tmp_path / "t.csv", _multi_block_table(bad_lines=[(600, '1,"2",B,3')]))

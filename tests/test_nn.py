@@ -6,6 +6,7 @@ from fedsim.nn import (
     PROB_CLIP,
     DenseNetwork,
     TrainConfig,
+    _sigmoid,
     init_network,
     loss_and_gradient,
     predict_labels,
@@ -22,6 +23,16 @@ def oracle_forward(net, X):
         z = a.dot(net.weights[k]) + net.biases[k]
         a = np.maximum(z, 0.0) if k < len(net.weights) - 1 else 1.0 / (1.0 + np.exp(-z))
     return a.ravel()
+
+
+def two_branch_sigmoid(z):
+    """Reference sigmoid: each sign's branch computed on its own entries."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def finite_difference_grad(net, X, y, eps=1e-5):
@@ -158,6 +169,18 @@ class TestForward:
         net = init_network(5, [4, 3], 1)
         out = net.forward(rng.normal(size=(50, 5)) * 10)
         assert np.all((out > 0.0) & (out < 1.0))
+
+    def test_sigmoid_is_byte_equal_to_the_two_branch_formula(self):
+        rng = np.random.default_rng(8)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        edges = [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310, 709.8, -709.8,
+                 745.2, -745.2, 1e308, -1e308]
+        z = np.concatenate([rng.normal(0, 1, 2000), rng.normal(0, 40, 2000),
+                            rng.uniform(-800, 800, 2000), edges])
+        assert _sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
+        stack = rng.normal(0, 5, (5, 32, 1))
+        assert _sigmoid(stack).tobytes() == two_branch_sigmoid(stack).tobytes()
+        assert np.isnan(_sigmoid(np.array([np.nan, -np.nan]))).all()
 
     def test_dimension_mismatch_rejected(self):
         net = init_network(4, [], 0)
