@@ -144,14 +144,17 @@ def load_csv(path, label_column: str, label_mapping: dict[str, int] | None = Non
         header = [h.strip() for h in header]
         label_idx = _label_index(path, header, label_column)
         del lines[: records.line_num]  # the header's lines
+        # A record spans at least one line, so the lines bound the rows.
+        features = np.empty((len(lines), len(header) - 1))
+        labels = np.empty(len(lines), dtype=np.int64)
         if any('"' in line for line in lines):
-            del lines  # free it before the rows are built
-            features, labels, dropped = _rows_by_rule(path, records, 0, len(header), label_idx,
-                                                      mapping)
+            del lines  # free it before the rows are read
+            n, dropped = _rows_by_rule(path, records, 0, label_idx, mapping, features, labels)
         else:
-            features, labels, dropped = _read_lines(path, lines, records.line_num, len(header),
-                                                    label_idx, mapping)
-    if not len(labels):
+            n, dropped = _read_lines(path, lines, records.line_num, label_idx, mapping, features,
+                                     labels)
+    features, labels = features[:n], labels[:n]
+    if not n:
         raise DatasetError(f"{path}: no usable data rows")
     ds = Dataset(
         name=name,
@@ -191,64 +194,59 @@ def _label_index(path: Path, header: list[str], label_column: str) -> int:
     return positions[0]
 
 
-def _read_lines(path: Path, lines: list[str], offset: int, n_cols: int, label_idx: int,
-                mapping: dict[str, int]) -> tuple[np.ndarray, np.ndarray, int]:
-    """(features, labels, dropped) of unquoted body lines, read in blocks into one array.
+def _read_lines(path: Path, lines: list[str], offset: int, label_idx: int, mapping: dict[str, int],
+                features: np.ndarray, labels: np.ndarray) -> tuple[int, int]:
+    """(kept, dropped) of unquoted body lines, read in blocks into ``features`` and ``labels``.
 
     ``offset`` is the file line before the first of ``lines``. A block the C
     reader rejects goes through the row rules.
     """
-    features = np.empty((len(lines), n_cols - 1))
-    labels = np.empty(len(lines), dtype=np.int64)
     n = dropped = 0
     for start in range(0, len(lines), _BLOCK_LINES):
         block = lines[start : start + _BLOCK_LINES]
         try:
-            part = _read_block(block, n_cols, label_idx, mapping)
+            kept, block_dropped = _read_block(block, label_idx, mapping, features[n:], labels[n:])
         except ValueError:
-            part = _rows_by_rule(path, csv.reader(block), offset + start, n_cols, label_idx,
-                                 mapping)
-        block_features, block_labels, block_dropped = part
-        features[n : n + len(block_labels)] = block_features
-        labels[n : n + len(block_labels)] = block_labels
-        n += len(block_labels)
+            kept, block_dropped = _rows_by_rule(path, csv.reader(block), offset + start, label_idx,
+                                                mapping, features[n:], labels[n:])
+        n += kept
         dropped += block_dropped
-    return features[:n], labels[:n], dropped
+    return n, dropped
 
 
-def _read_block(lines: list[str], n_cols: int, label_idx: int,
-                mapping: dict[str, int]) -> tuple[np.ndarray, np.ndarray, int]:
-    """(features, labels, dropped) of unquoted lines, parsed by numpy's C reader.
+def _read_block(lines: list[str], label_idx: int, mapping: dict[str, int], features: np.ndarray,
+                labels: np.ndarray) -> tuple[int, int]:
+    """(kept, dropped) of unquoted lines parsed by numpy's C reader, kept rows written first.
 
     loadtxt gives every cell it accepts the double ``float()`` gives it. A
-    ValueError means it rejects the block (a cell it cannot parse, an empty or
-    unknown label, a ragged row), would misread it (it skips blank lines) or
-    returns its rows in the wrong shape.
+    ValueError, raised before anything is written, means it rejects the block
+    (a cell it cannot parse, an empty or unknown label, a ragged row), would
+    misread it (it skips blank lines) or returns its rows in the wrong shape.
     """
     if "" in lines:
         raise ValueError("blank line")
     table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, dtype=np.float64,
                        ndmin=2, converters={label_idx: lambda cell: mapping[cell.strip().lower()]})
-    if table.shape != (len(lines), n_cols):
+    if table.shape != (len(lines), features.shape[1] + 1):
         raise ValueError(f"rows of shape {table.shape}")
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         table = table[finite]
-    return (np.delete(table, label_idx, axis=1), table[:, label_idx].astype(np.int64),
-            len(lines) - len(table))
+    features[: len(table)] = np.delete(table, label_idx, axis=1)
+    labels[: len(table)] = table[:, label_idx]
+    return len(table), len(lines) - len(table)
 
 
-def _rows_by_rule(path: Path, records, offset: int, n_cols: int, label_idx: int,
-                  mapping: dict[str, int]) -> tuple[np.ndarray, np.ndarray, int]:
-    """(features, labels, dropped) of the records of a ``csv.reader``, one row at a time.
+def _rows_by_rule(path: Path, records, offset: int, label_idx: int, mapping: dict[str, int],
+                  features: np.ndarray, labels: np.ndarray) -> tuple[int, int]:
+    """(kept, dropped) of a ``csv.reader``'s records, read one at a time, kept rows written first.
 
     A row is dropped when its length differs from the header's, its label is
     empty, or a feature cell is not a finite number; an unknown label is an
     error naming its file line, ``offset`` plus the reader's ``line_num``.
     """
-    rows: list[np.ndarray] = []
-    labels: list[int] = []
-    dropped = 0
+    n_cols = features.shape[1] + 1
+    n = dropped = 0
     for row in records:
         if len(row) != n_cols:
             dropped += 1
@@ -260,19 +258,17 @@ def _rows_by_rule(path: Path, records, offset: int, n_cols: int, label_idx: int,
         if raw_label.lower() not in mapping:
             raise DatasetError(f"{path}:{offset + records.line_num}: unknown label value "
                                f"{raw_label!r}")
-        cells = row[:label_idx] + row[label_idx + 1 :]
         try:
-            values = np.array(cells, dtype=np.float64)
+            features[n] = row[:label_idx] + row[label_idx + 1 :]
         except ValueError:
             dropped += 1
             continue
-        if not np.isfinite(values).all():
+        if not np.isfinite(features[n]).all():
             dropped += 1
             continue
-        rows.append(values)
-        labels.append(mapping[raw_label.lower()])
-    features = np.vstack(rows) if rows else np.empty((0, n_cols - 1))
-    return features, np.asarray(labels, dtype=np.int64), dropped
+        labels[n] = mapping[raw_label.lower()]
+        n += 1
+    return n, dropped
 
 
 def _check_known_profile(ds: Dataset) -> None:

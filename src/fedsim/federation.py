@@ -75,16 +75,11 @@ class ClientState:
 
 
 class ClientStack(tuple):
-    """The clients of one repeat, in client order, whose models are the rows of one (K, P) array.
+    """The clients of one repeat, in client order, whose models are the rows of one (K, P) array."""
 
-    ``setup_repeat`` orders the rows by train-shard length, longest first, so
-    that each SGD step's equal-size batches are one contiguous slice of the
-    stack; ``order[r]`` is the index of the client whose model is row r.
-    """
-
-    def __new__(cls, clients, params: np.ndarray, order: np.ndarray):
+    def __new__(cls, clients, params: np.ndarray):
         stack = super().__new__(cls, clients)
-        stack.params, stack.order = params, order
+        stack.params = params
         return stack
 
 
@@ -117,11 +112,9 @@ def train_clients(clients, cfg: TrainConfig, rngs) -> tuple[list[np.ndarray], np
         results = [c.local_update(cfg, rng) for c, rng in zip(clients, rngs)]
         return [vec for vec, _ in results], np.array([acc for _, acc in results])
     out = np.empty_like(clients.params)
-    accs = _train_stack(clients.params, [clients[i] for i in clients.order], cfg,
-                        [rngs[i] for i in clients.order], out)
-    rows = np.argsort(clients.order)
-    np.take(clients.params, rows, axis=0, out=out, mode="clip")  # "raise" would buffer out
-    return list(out), np.array(accs)[rows]
+    accs = _train_stack(clients.params, clients, cfg, rngs, out)
+    np.copyto(out, clients.params)
+    return list(out), np.array(accs)
 
 
 @dataclass
@@ -251,10 +244,9 @@ def setup_repeat(
     )
     global_net = init_network(dataset.features.shape[1], list(cfg.hidden_dims),
                               seed=derive_seed(run_seed, _DOMAIN_INIT))
-    order = np.argsort([-len(s.train) for s in shards], kind="stable")
     params = np.tile(global_net.params, (len(shards), 1))
-    clients = ClientStack([ClientState(s.client_id, s, DenseNetwork(global_net.layer_dims, params[row]))
-                           for s, row in zip(shards, np.argsort(order))], params, order)
+    clients = ClientStack([ClientState(s.client_id, s, DenseNetwork(global_net.layer_dims, row))
+                           for s, row in zip(shards, params)], params)
     return holdout, clients, global_net.to_vector(), PriorityIndex.uniform(cfg.n_clients, cfg.alpha)
 
 

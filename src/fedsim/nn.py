@@ -234,11 +234,10 @@ def sgd_epochs(stack: np.ndarray, layer_dims: list[int], Xs, ys, cfg: TrainConfi
 
     Network g trains on ``Xs[g]``, ``ys[g]`` in the shuffle order drawn from
     ``rngs[g]``, with the arithmetic it would do alone; its final short batch
-    is trained on like any other. At each step the networks whose batches
-    have equal size train as one stack: when the rows are ordered by set
-    size, longest first, each such group is a contiguous slice. ``grad`` is
-    scratch of the stack's shape. Returns each network's mean per-sample
-    loss over the epoch.
+    is trained on like any other. At each step each run of adjacent networks
+    whose batches have equal size trains as one stack. ``grad`` is scratch of
+    the stack's shape. Returns each network's mean per-sample loss over the
+    epoch.
     """
     Xs = [_check_batch(X, layer_dims[0]) for X in Xs]
     ys = [_check_labels(y, X.shape[0]) for X, y in zip(Xs, ys)]

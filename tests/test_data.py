@@ -1,6 +1,7 @@
 """Dataset loading, holdout splitting and client partition tests."""
 import csv
 import logging
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,22 @@ class TestLoadCsv:
             ds = load_csv(p, "class", name="malgenome")
         assert len(ds) == 2
         assert "published reference" in caplog.text
+
+    def test_a_quoted_body_is_held_once(self, tmp_path):
+        rng = np.random.default_rng(3)
+        lines = [",".join([*map(str, rng.integers(0, 2, 60)), "B" if i % 2 else "S"])
+                 for i in range(4000)]
+        lines[100] = f'{lines[100][:-1]}"{lines[100][-1]}"'  # a quoted label
+        p = write_csv(tmp_path / "t.csv",
+                      ",".join([*(f"f{i}" for i in range(60)), "class"]) + "\n" + "\n".join(lines))
+        tracemalloc.start()
+        try:
+            ds = load_csv(p, "class")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.features.shape == (4000, 60)
+        assert peak < 2 * ds.features.nbytes
 
 
 def reference_load_csv(path, label_column, label_mapping=None, name=None):

@@ -93,6 +93,12 @@ class TestRunRound:
         np.testing.assert_array_equal(results[AggregationStrategy.FEDAVG],
                                       results[AggregationStrategy.DW_FEDAVG])
 
+    def test_stack_rows_are_the_clients_in_client_order(self, small_dataset):
+        # at run seed 5 the 7 clients' shard lengths are not in client order
+        _, clients, _, _ = setup_repeat(small_config(n_clients=7), small_dataset, run_seed=5)
+        for i, client in enumerate(clients):
+            assert np.shares_memory(clients.params[i], client.model.params)
+
     def test_matches_clients_trained_one_by_one(self, small_dataset):
         # 7 clients hold 72-74 training rows, not in client order, so every
         # epoch ends in batches of 8, 9 and 10 rows
