@@ -28,6 +28,7 @@ from .federation import (
     RepeatResult,
     RoundReport,
     run_experiment,
+    run_repeat,
     run_round,
     setup_repeat,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "RepeatResult",
     "RoundReport",
     "run_experiment",
+    "run_repeat",
     "run_round",
     "setup_repeat",
     "ConfigError",

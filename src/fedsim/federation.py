@@ -69,8 +69,7 @@ class ClientState:
             FloatingPointError: if training left a parameter non-finite
                 (typically a learning rate too large for the data).
         """
-        stack = self.model.params[None]
-        (acc,) = _train_stack(stack, [self], cfg, [rng], np.empty_like(stack))
+        (acc,) = _train_stack(self.model.params[None], [self], cfg, [rng])
         return self.model.to_vector(), acc
 
 
@@ -83,13 +82,13 @@ class ClientStack(tuple):
         return stack
 
 
-def _train_stack(stack: np.ndarray, clients, cfg: TrainConfig, rngs, grad: np.ndarray) -> list[float]:
+def _train_stack(stack: np.ndarray, clients, cfg: TrainConfig, rngs) -> list[float]:
     """Train ``clients`` in place for cfg.local_epochs and return their local test accuracies.
 
-    ``stack[g]`` is ``clients[g].model.params`` and ``grad`` is scratch of
-    the stack's shape. Raises FloatingPointError, naming the lowest such
-    client id, if training left a parameter non-finite.
+    ``stack[g]`` is ``clients[g].model.params``. Raises FloatingPointError,
+    naming the lowest such client id, if training left a parameter non-finite.
     """
+    grad = np.empty_like(stack)
     for _ in range(cfg.local_epochs):
         sgd_epochs(stack, clients[0].model.layer_dims, [c.shard.train.features for c in clients],
                    [c.shard.train.labels for c in clients], cfg, rngs, grad)
@@ -104,17 +103,15 @@ def _train_stack(stack: np.ndarray, clients, cfg: TrainConfig, rngs, grad: np.nd
 def train_clients(clients, cfg: TrainConfig, rngs) -> tuple[list[np.ndarray], np.ndarray]:
     """Every client's local update of one round: (parameter vectors, local accuracies) in client order.
 
-    A ``ClientStack`` trains as one stack, and the (K, P) array that served
-    as its gradient scratch returns the vectors. Any other list of clients
-    trains client by client through ``local_update``.
+    A ``ClientStack`` trains as one stack; any other list of clients trains
+    client by client through ``local_update``. The vectors are copies, not
+    views of the client models.
     """
     if not isinstance(clients, ClientStack):
         results = [c.local_update(cfg, rng) for c, rng in zip(clients, rngs)]
         return [vec for vec, _ in results], np.array([acc for _, acc in results])
-    out = np.empty_like(clients.params)
-    accs = _train_stack(clients.params, clients, cfg, rngs, out)
-    np.copyto(out, clients.params)
-    return list(out), np.array(accs)
+    accs = _train_stack(clients.params, clients, cfg, rngs)
+    return list(clients.params.copy()), np.array(accs)
 
 
 @dataclass
@@ -178,7 +175,6 @@ class RepeatResult:
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
     repeats: list[RepeatResult]
 
     def summary(self) -> dict[str, tuple[float, float]]:
@@ -250,33 +246,27 @@ def setup_repeat(
     return holdout, clients, global_net.to_vector(), PriorityIndex.uniform(cfg.n_clients, cfg.alpha)
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    dataset: Dataset,
-    *,
-    on_round=None,
-) -> ExperimentResult:
-    """Execute all repeats of an experiment on an already-loaded dataset.
+def run_repeat(cfg: ExperimentConfig, dataset: Dataset, r: int) -> RepeatResult:
+    """Run repeat ``r`` of an experiment on an already-loaded dataset.
 
-    Repeat r runs with seed ``master_seed + r``, which drives the holdout
-    split, the client partition, the common initial model and every client's
-    training streams. ``on_round(repeat, report)`` is invoked after each round
-    when given. OpenBLAS runs on one thread for the length of the call (see
-    ``fedsim._blas``); the caller's thread count is restored on return.
+    Seed ``master_seed + r`` drives the holdout split, the client partition,
+    the common initial model and every client's training streams. OpenBLAS
+    runs on one thread for the length of the call (see ``fedsim._blas``);
+    the caller's thread count is restored on return.
     """
-    repeats: list[RepeatResult] = []
+    run_seed = cfg.master_seed + r
+    reports: list[RoundReport] = []
     with one_blas_thread():
-        for r in range(cfg.repeats):
-            run_seed = cfg.master_seed + r
-            holdout, clients, params, idx = setup_repeat(cfg, dataset, run_seed)
-            reports: list[RoundReport] = []
-            for round_num in range(1, cfg.n_rounds + 1):
-                params, idx, report = run_round(
-                    params, clients, idx, cfg,
-                    holdout=holdout, run_seed=run_seed, round_num=round_num,
-                )
-                reports.append(report)
-                if on_round is not None:
-                    on_round(r, report)
-            repeats.append(RepeatResult(repeat=r, run_seed=run_seed, rounds=reports))
-    return ExperimentResult(config=cfg, repeats=repeats)
+        holdout, clients, params, idx = setup_repeat(cfg, dataset, run_seed)
+        for round_num in range(1, cfg.n_rounds + 1):
+            params, idx, report = run_round(
+                params, clients, idx, cfg,
+                holdout=holdout, run_seed=run_seed, round_num=round_num,
+            )
+            reports.append(report)
+    return RepeatResult(repeat=r, run_seed=run_seed, rounds=reports)
+
+
+def run_experiment(cfg: ExperimentConfig, dataset: Dataset) -> ExperimentResult:
+    """Execute all repeats of an experiment on an already-loaded dataset, in repeat order."""
+    return ExperimentResult([run_repeat(cfg, dataset, r) for r in range(cfg.repeats)])

@@ -158,6 +158,8 @@ class RunManifest:
             name = section.split(".", 1)[1].strip().lower()
             if not name:
                 raise ConfigError(f"{path}: [{section}] names no dataset")
+            if "/" in name or "\\" in name:
+                raise ConfigError(f"{path}: [{section}] dataset name holds a path separator")
             if "path" not in values:
                 raise ConfigError(f"{path}: [{section}] is missing the 'path' key")
             if name in m.datasets:

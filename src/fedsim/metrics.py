@@ -124,13 +124,13 @@ def auc_rank(scores, truth) -> float:
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def evaluate_scores(scores, truth, threshold: float = 0.5) -> MetricSet:
+def evaluate_scores(scores, truth) -> MetricSet:
     """Score a probability vector against 0/1 labels.
 
-    Labels are predicted positive when the score is >= ``threshold`` (ties are
+    Labels are predicted positive when the score is >= 0.5 (ties are
     classified as malware).
     """
     s = np.asarray(scores, dtype=np.float64)
-    pred = (s >= threshold).astype(np.int64)
+    pred = (s >= 0.5).astype(np.int64)
     c = confusion(pred, truth)
     return MetricSet(accuracy=accuracy(c), f1=f1(c), auc=auc_rank(s, truth), fpr=fpr(c))

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from fedsim import _blas
+from fedsim import _blas, federation
 from fedsim.aggregation import AggregationStrategy
 from fedsim.cli import EXIT_OK, main
 from fedsim.federation import ExperimentConfig, run_experiment
@@ -25,13 +25,19 @@ def two_blas_threads():
     set_threads(before)
 
 
-def test_experiment_trains_on_one_thread_and_restores_the_count(two_blas_threads):
-    seen = []
+def test_experiment_trains_on_one_thread_and_restores_the_count(two_blas_threads,
+                                                                 monkeypatch):
+    seen, real = [], federation.run_round
+
+    def run_round(*args, **kwargs):
+        seen.append(_blas.blas_threads())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "run_round", run_round)
     cfg = ExperimentConfig(dataset="synth-small", n_clients=2, n_rounds=2, repeats=2,
                            strategy=AggregationStrategy.FEDAVG,
                            train=TrainConfig(local_epochs=1), hidden_dims=(4,))
-    run_experiment(cfg, resolve_synthetic("synth-small"),
-                   on_round=lambda repeat, report: seen.append(_blas.blas_threads()))
+    run_experiment(cfg, resolve_synthetic("synth-small"))
     assert seen == [1, 1, 1, 1]
     assert _blas.blas_threads() == two_blas_threads
 

@@ -266,6 +266,25 @@ class TestRunCommand:
         assert err.startswith("error: ") and named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["a/b", "a\\b"])
+    def test_dataset_name_with_a_path_separator_is_exit_two_before_any_cell(
+            self, tmp_path, capsys, monkeypatch, name):
+        rows = "".join(f"{i % 7},{i % 3},{'BS'[i % 2]}\n" for i in range(200))
+        (tmp_path / "toy.csv").write_text("f0,f1,class\n" + rows, encoding="utf-8")
+        manifest = write(tmp_path, f"[grid]\ndatasets = {name}\n\n"
+                                   f"[dataset.{name}]\npath = toy.csv\n")
+        real, calls = cli.run_experiment, []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda cfg, dataset: calls.append(cfg) or real(cfg, dataset))
+        out = tmp_path / "o"
+        code = main(["run", "--manifest", str(manifest), "--rounds", "1", "--repeats", "1",
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: [dataset.{name}] dataset name holds a path separator\n")
+        assert calls == []
+        assert not out.exists()
+
     def test_csv_that_is_not_utf8_is_exit_two_before_any_output(self, tmp_path, capsys):
         (tmp_path / "toy.csv").write_bytes(b"f\xe4,class\n1,B\n0,S\n")
         manifest = write(tmp_path, "[grid]\ndatasets = toy\n\n[dataset.toy]\npath = toy.csv\n")

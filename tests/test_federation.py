@@ -9,8 +9,10 @@ from fedsim.federation import (
     _client_rng,
     derive_seed,
     run_experiment,
+    run_repeat,
     run_round,
     setup_repeat,
+    train_clients,
 )
 from fedsim.nn import TrainConfig
 from fedsim.synth import make_two_cluster, resolve_synthetic
@@ -99,6 +101,15 @@ class TestRunRound:
         for i, client in enumerate(clients):
             assert np.shares_memory(clients.params[i], client.model.params)
 
+    def test_returned_vectors_are_copies_of_the_client_models(self, small_dataset):
+        cfg = small_config()
+        _, clients, _, _ = setup_repeat(cfg, small_dataset, run_seed=5)
+        vecs, _ = train_clients(clients, cfg.train,
+                                [_client_rng(5, 1, c.client_id) for c in clients])
+        trained = clients[0].model.params.copy()
+        vecs[0][:] = 0.0
+        assert clients[0].model.params.tobytes() == trained.tobytes()
+
     def test_matches_clients_trained_one_by_one(self, small_dataset):
         # 7 clients hold 72-74 training rows, not in client order, so every
         # epoch ends in batches of 8, 9 and 10 rows
@@ -166,11 +177,17 @@ class TestRunExperiment:
         stats = result.summary()
         assert set(stats) == {"accuracy", "f1", "auc", "fpr"}
 
-    def test_on_round_callback_sees_every_round(self, small_dataset):
-        seen = []
-        cfg = small_config(n_rounds=3, repeats=2)
-        run_experiment(cfg, small_dataset, on_round=lambda r, rep: seen.append((r, rep.round)))
-        assert seen == [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3)]
+    def test_a_repeat_run_alone_matches_it_inside_the_experiment(self, small_dataset):
+        cfg = small_config(n_rounds=2, repeats=3)
+        whole = run_experiment(cfg, small_dataset)
+        for r in (2, 0):
+            alone, inside = run_repeat(cfg, small_dataset, r), whole.repeats[r]
+            assert (alone.repeat, alone.run_seed) == (inside.repeat, inside.run_seed) == (r, 11 + r)
+            assert len(alone.rounds) == len(inside.rounds) == cfg.n_rounds
+            for a, b in zip(alone.rounds, inside.rounds):
+                assert a.global_metrics == b.global_metrics
+                assert a.client_local_acc.tobytes() == b.client_local_acc.tobytes()
+                assert a.betas_after_update.tobytes() == b.betas_after_update.tobytes()
 
     def test_repeat_seeds_are_master_seed_plus_index(self, small_dataset):
         result = run_experiment(small_config(repeats=3, master_seed=20), small_dataset)

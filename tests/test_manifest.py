@@ -190,6 +190,13 @@ class TestLoad:
             RunManifest.load(path)
         assert str(err.value) == f"{path}: [{section}] names no dataset"
 
+    @pytest.mark.parametrize("section", ["dataset.a/b", "dataset.a\\b"])
+    def test_dataset_name_with_a_path_separator_is_config_error(self, tmp_path, section):
+        path = write_manifest(tmp_path, f"[{section}]\npath = x.csv\n")
+        with pytest.raises(ConfigError) as err:
+            RunManifest.load(path)
+        assert str(err.value) == f"{path}: [{section}] dataset name holds a path separator"
+
     @pytest.mark.parametrize("value", ["", "  "])
     def test_empty_output_dir_is_config_error(self, tmp_path, value):
         path = write_manifest(tmp_path, f"[output]\ndir ={value}\n")
