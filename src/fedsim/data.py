@@ -2,8 +2,8 @@
 
 Datasets arrive as CSV feature tables with a header row and one label column.
 Rows with unparsable or missing cells are dropped (and counted) rather than
-imputed. Splits draw the same share of every class and are fully determined
-by their seed.
+imputed. Splits are row indices into the one loaded table; they draw the same
+share of every class and are fully determined by their seed.
 """
 from __future__ import annotations
 
@@ -84,26 +84,15 @@ class Dataset:
         pos = int(self.labels.sum())
         return self.labels.size - pos, pos
 
-    def subset(self, indices, name: str | None = None) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            name=name or self.name,
-            features=self.features[idx],
-            labels=self.labels[idx],
-            feature_names=self.feature_names,
-        )
-
 
 @dataclass
 class ClientShard:
-    """One client's private slice: local training data plus a local test split."""
+    """One client's private slice of a shared table: its training rows and local test rows."""
 
     client_id: int
-    train: Dataset
-    local_test: Dataset
-    # Row indices into the parent training set, kept for disjointness checks.
-    train_indices: np.ndarray
-    test_indices: np.ndarray
+    data: Dataset
+    train: np.ndarray
+    local_test: np.ndarray
 
 
 # Lines per np.loadtxt call. A block that holds a line the C reader rejects
@@ -153,9 +142,10 @@ def load_csv(path, label_column: str, label_mapping: dict[str, int] | None = Non
         else:
             n, dropped = _read_lines(path, lines, records.line_num, label_idx, mapping, features,
                                      labels)
-    features, labels = features[:n], labels[:n]
     if not n:
         raise DatasetError(f"{path}: no usable data rows")
+    if n < len(labels):  # own the kept rows, so the buffer sized for every line is freed
+        features, labels = features[:n].copy(), labels[:n].copy()
     ds = Dataset(
         name=name,
         features=features,
@@ -316,8 +306,8 @@ def _per_class_test_indices(labels: np.ndarray, fraction: float,
     return np.concatenate(parts)
 
 
-def holdout_split(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Split into (train, test) with |test| ~= fraction * |ds|, drawn class by class.
+def holdout_split(ds: Dataset, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (train, test) row indices of ``ds``, |test| ~= fraction * |ds|, drawn class by class.
 
     Draws round(fraction * n_c) samples per class, keeping class ratios within
     one sample per class; it requires at least 5 samples of each class and a
@@ -339,19 +329,16 @@ def holdout_split(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dat
     test_idx = np.sort(_per_class_test_indices(ds.labels, fraction, rng, clamp=False))
     mask = np.ones(len(ds), dtype=bool)
     mask[test_idx] = False
-    train_idx = np.flatnonzero(mask)
-    return (
-        ds.subset(train_idx, f"{ds.name}[train]"),
-        ds.subset(test_idx, f"{ds.name}[test]"),
-    )
+    return np.flatnonzero(mask), test_idx
 
 
-def partition_clients(train: Dataset, n_clients: int, local_test_fraction: float = 0.20,
-                      seed: int = 0) -> list[ClientShard]:
-    """Partition training data into IID client shards with inner local splits.
+def partition_clients(ds: Dataset, rows: np.ndarray, n_clients: int,
+                      local_test_fraction: float = 0.20, seed: int = 0) -> list[ClientShard]:
+    """Deal the ``rows`` of ``ds`` out into IID client shards with inner local splits.
 
-    Shards are disjoint, cover the training set and differ in size by at most
-    one (earlier clients absorb the remainder). Within each shard a per-class
+    Shards are disjoint, cover ``rows`` and differ in size by at most one
+    (earlier clients absorb the remainder); each holds ``ds`` itself and index
+    arrays into it, in the order of ``rows``. Within each shard a per-class
     split reserves ``local_test_fraction`` for the client's own accuracy
     measurement; both sides of that inner split keep at least one sample per
     class.
@@ -360,9 +347,9 @@ def partition_clients(train: Dataset, n_clients: int, local_test_fraction: float
         raise ValueError(f"n_clients must be >= 2, got {n_clients}")
     if not 0.0 < local_test_fraction < 1.0:
         raise ValueError(f"local_test_fraction must lie in (0, 1), got {local_test_fraction}")
-    n = len(train)
+    n = len(rows)
     if n < 2 * n_clients:
-        raise DatasetError(f"{train.name}: {n} samples cannot fill {n_clients} clients")
+        raise DatasetError(f"{ds.name}: {n} samples cannot fill {n_clients} clients")
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
@@ -371,28 +358,18 @@ def partition_clients(train: Dataset, n_clients: int, local_test_fraction: float
     start = 0
     for cid in range(n_clients):
         size = base + (1 if cid < rem else 0)
-        chunk = np.sort(perm[start : start + size])
+        chunk = rows[np.sort(perm[start : start + size])]
         start += size
-        shard_labels = train.labels[chunk]
+        shard_labels = ds.labels[chunk]
         if len(np.unique(shard_labels)) < 2:
             raise DatasetError(
-                f"{train.name}: client {cid} received a single-class shard; "
+                f"{ds.name}: client {cid} received a single-class shard; "
                 "too few samples per client")
         try:
             local_pick = _per_class_test_indices(shard_labels, local_test_fraction, rng, clamp=True)
         except DatasetError as exc:
-            raise DatasetError(f"{train.name}: client {cid}: {exc}; too few samples per client") from None
+            raise DatasetError(f"{ds.name}: client {cid}: {exc}; too few samples per client") from None
         local_mask = np.ones(size, dtype=bool)
         local_mask[local_pick] = False
-        test_idx = chunk[np.sort(local_pick)]
-        train_idx = chunk[local_mask]
-        shards.append(
-            ClientShard(
-                client_id=cid,
-                train=train.subset(train_idx, f"{train.name}/client{cid}[train]"),
-                local_test=train.subset(test_idx, f"{train.name}/client{cid}[test]"),
-                train_indices=train_idx,
-                test_indices=test_idx,
-            )
-        )
+        shards.append(ClientShard(cid, ds, chunk[local_mask], chunk[np.sort(local_pick)]))
     return shards

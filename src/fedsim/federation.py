@@ -1,8 +1,8 @@
 """The simulated federated loop: broadcast, local training, aggregation, evaluation.
 
 One process plays every role. The privacy boundary is the ClientState
-interface: shard rows never leave a client object, only flat parameter
-vectors and scalar local accuracies cross into the server loop. The server
+interface: a client reads only its own rows of the shared table; only
+parameter vectors and scalar accuracies reach the server loop. The server
 additionally owns the global holdout split, which was never issued to any
 client.
 
@@ -85,19 +85,21 @@ class ClientStack(tuple):
 def _train_stack(stack: np.ndarray, clients, cfg: TrainConfig, rngs) -> list[float]:
     """Train ``clients`` in place for cfg.local_epochs and return their local test accuracies.
 
-    ``stack[g]`` is ``clients[g].model.params``. Raises FloatingPointError,
-    naming the lowest such client id, if training left a parameter non-finite.
+    ``stack[g]`` is ``clients[g].model.params``, and every shard indexes one
+    shared table. Raises FloatingPointError, naming the lowest such client id,
+    if training left a parameter non-finite.
     """
+    data = clients[0].shard.data
     grad = np.empty_like(stack)
     for _ in range(cfg.local_epochs):
-        sgd_epochs(stack, clients[0].model.layer_dims, [c.shard.train.features for c in clients],
-                   [c.shard.train.labels for c in clients], cfg, rngs, grad)
+        sgd_epochs(stack, clients[0].model.layer_dims, data.features, data.labels,
+                   [c.shard.train for c in clients], cfg, rngs, grad)
     diverged = [c.client_id for c, row in zip(clients, stack) if not np.isfinite(row).all()]
     if diverged:
         raise FloatingPointError(f"client {min(diverged)}: local training diverged to non-finite "
                                  f"parameters at learning rate {cfg.learning_rate}")
-    return [float(np.mean(predict_labels(c.model, c.shard.local_test.features)
-                          == c.shard.local_test.labels)) for c in clients]
+    return [float(np.mean(predict_labels(c.model, data.features[c.shard.local_test])
+                          == data.labels[c.shard.local_test])) for c in clients]
 
 
 def train_clients(clients, cfg: TrainConfig, rngs) -> tuple[list[np.ndarray], np.ndarray]:
@@ -232,12 +234,15 @@ def run_round(
 def setup_repeat(
     cfg: ExperimentConfig, dataset: Dataset, run_seed: int
 ) -> tuple[Dataset, ClientStack, np.ndarray, PriorityIndex]:
-    """Split, shard and initialize one repeat; returns (holdout, clients, params, index)."""
-    train, holdout = holdout_split(dataset, cfg.holdout_fraction,
-                                   derive_seed(run_seed, _DOMAIN_HOLDOUT))
-    shards = partition_clients(
-        train, cfg.n_clients, cfg.local_test_fraction, seed=derive_seed(run_seed, _DOMAIN_PARTITION)
-    )
+    """Split, shard and initialize one repeat; returns (holdout, clients, params, index).
+
+    The holdout is the one copy of feature rows; the shards index ``dataset``.
+    """
+    train, test = holdout_split(dataset, cfg.holdout_fraction,
+                                derive_seed(run_seed, _DOMAIN_HOLDOUT))
+    shards = partition_clients(dataset, train, cfg.n_clients, cfg.local_test_fraction,
+                               seed=derive_seed(run_seed, _DOMAIN_PARTITION))
+    holdout = Dataset(dataset.name, dataset.features[test], dataset.labels[test])
     global_net = init_network(dataset.features.shape[1], list(cfg.hidden_dims),
                               seed=derive_seed(run_seed, _DOMAIN_INIT))
     params = np.tile(global_net.params, (len(shards), 1))

@@ -228,34 +228,35 @@ def loss_and_gradient(net: DenseNetwork, batch, labels) -> tuple[float, np.ndarr
     return float(loss[0]), grad
 
 
-def sgd_epochs(stack: np.ndarray, layer_dims: list[int], Xs, ys, cfg: TrainConfig, rngs,
+def sgd_epochs(stack: np.ndarray, layer_dims: list[int], X, y, rows, cfg: TrainConfig, rngs,
                grad: np.ndarray) -> np.ndarray:
     """One epoch of mini-batch SGD for each network of a (G, P) stack, updating ``stack`` in place.
 
-    Network g trains on ``Xs[g]``, ``ys[g]`` in the shuffle order drawn from
-    ``rngs[g]``, with the arithmetic it would do alone; its final short batch
-    is trained on like any other. At each step each run of adjacent networks
-    whose batches have equal size trains as one stack. ``grad`` is scratch of
-    the stack's shape. Returns each network's mean per-sample loss over the
-    epoch.
+    Network g trains on the rows ``rows[g]`` of the shared table ``X``, ``y``
+    in the shuffle order drawn from ``rngs[g]``, with the arithmetic it would
+    do alone; its final short batch is trained on like any other. At each
+    step each run of adjacent networks whose batches have equal size trains
+    as one stack. ``grad`` is scratch of the stack's shape. Returns each
+    network's mean per-sample loss over the epoch.
     """
-    Xs = [_check_batch(X, layer_dims[0]) for X in Xs]
-    ys = [_check_labels(y, X.shape[0]) for X, y in zip(Xs, ys)]
-    sizes = np.array([X.shape[0] for X in Xs])
+    X = _check_batch(X, layer_dims[0])
+    y = _check_labels(y, X.shape[0])
+    sizes = np.array([r.size for r in rows])
     if not sizes.all():
         raise ValueError("cannot train on an empty set")
-    perms = [rng.permutation(size) for rng, size in zip(rngs, sizes)]
-    y_perm = np.zeros((len(Xs), sizes.max()))
-    for row, (y, perm) in enumerate(zip(ys, perms)):
+    perms = [r[rng.permutation(r.size)] for rng, r in zip(rngs, rows)]
+    y_perm = np.zeros((len(rows), sizes.max()))
+    for row, perm in enumerate(perms):
         y_perm[row, : perm.size] = y[perm]
-    batch = np.empty((len(Xs), min(cfg.batch_size, sizes.max()), layer_dims[0]))
-    loss_sum = np.zeros(len(Xs))
+    batch = np.empty((len(rows), min(cfg.batch_size, sizes.max()), layer_dims[0]))
+    loss_sum = np.zeros(len(rows))
     for start in range(0, sizes.max(), cfg.batch_size):
         batch_sizes = np.clip(sizes - start, 0, cfg.batch_size)
         for row in np.flatnonzero(batch_sizes):
-            np.take(Xs[row], perms[row][start : start + batch_sizes[row]], axis=0,
-                    out=batch[row, : batch_sizes[row]], mode="clip")  # "raise" would buffer out
-        edges = [0, *(np.flatnonzero(np.diff(batch_sizes)) + 1), len(Xs)]
+            # "wrap" reads the rows y[perm] read, negative ones too; "raise" would buffer out
+            np.take(X, perms[row][start : start + batch_sizes[row]], axis=0,
+                    out=batch[row, : batch_sizes[row]], mode="wrap")
+        edges = [0, *(np.flatnonzero(np.diff(batch_sizes)) + 1), len(rows)]
         for lo, hi in zip(edges[:-1], edges[1:]):  # runs of rows with equal batch sizes
             n = int(batch_sizes[lo])
             if n:
@@ -275,7 +276,8 @@ def sgd_epoch(net: DenseNetwork, X, y, cfg: TrainConfig, rng: np.random.Generato
     ``sgd_epochs`` on a stack of one network.
     """
     stack = net.params[None]
-    return float(sgd_epochs(stack, net.layer_dims, [X], [y], cfg, [rng], np.empty_like(stack))[0])
+    return float(sgd_epochs(stack, net.layer_dims, X, y, [np.arange(len(X))], cfg, [rng],
+                            np.empty_like(stack))[0])
 
 
 def predict_labels(net: DenseNetwork, batch) -> np.ndarray:

@@ -25,6 +25,10 @@ def write_csv(path, text):
     return path
 
 
+def class_counts(labels):
+    return tuple(np.bincount(labels, minlength=2).tolist())
+
+
 def balanced_dataset(n, seed=0, n_features=6, pos_fraction=0.5):
     rng = np.random.default_rng(seed)
     labels = np.zeros(n, dtype=np.int64)
@@ -148,6 +152,19 @@ class TestLoadCsv:
             tracemalloc.stop()
         assert ds.features.shape == (4000, 60)
         assert peak < 2 * ds.features.nbytes
+
+    @pytest.mark.parametrize("bad_lines", [
+        pytest.param([(300, "1,?,B,2")], id="a-dropped-row"),
+        pytest.param([(line, "1,?,B,2") for line in range(2, 800)], id="most-rows-dropped"),
+        pytest.param([(600, '1,"2\n",B,3')], id="a-record-over-two-lines"),
+    ])
+    def test_fewer_rows_than_lines_keep_no_buffer_of_every_line(self, tmp_path, bad_lines):
+        # the load fills arrays sized for every body line; its arrays hold only the kept rows
+        text = _multi_block_table(bad_lines=bad_lines)
+        ds = load_csv(write_csv(tmp_path / "t.csv", text), "class")
+        assert len(ds) < text.count("\n") - 1  # the header is a line
+        for array in (ds.features, ds.labels):
+            assert array.base is None or array.base.nbytes == array.nbytes
 
 
 def reference_load_csv(path, label_column, label_mapping=None, name=None):
@@ -362,7 +379,7 @@ class TestHoldoutSplit:
         train, test = holdout_split(ds, 0.2, 0)
         assert len(train) == 80
         assert len(test) == 20
-        assert test.class_counts() == (10, 10)
+        assert class_counts(ds.labels[test]) == (10, 10)
 
     def test_published_row_count_fraction(self):
         ds = balanced_dataset(3799, pos_fraction=1260 / 3799)
@@ -373,22 +390,21 @@ class TestHoldoutSplit:
         ds = balanced_dataset(200, seed=5)
         a_train, a_test = holdout_split(ds, 0.2, 9)
         b_train, b_test = holdout_split(ds, 0.2, 9)
-        np.testing.assert_array_equal(a_test.labels, b_test.labels)
-        np.testing.assert_array_equal(a_test.features, b_test.features)
-        np.testing.assert_array_equal(a_train.features, b_train.features)
+        np.testing.assert_array_equal(a_test, b_test)
+        np.testing.assert_array_equal(a_train, b_train)
 
     def test_different_seed_differs(self):
         ds = balanced_dataset(200, seed=5)
         _, a = holdout_split(ds, 0.2, 0)
         _, b = holdout_split(ds, 0.2, 1)
-        assert not np.array_equal(a.features, b.features)
+        assert not np.array_equal(a, b)
 
     def test_stratified_ratio_within_one_sample(self):
         for seed in range(10):
             ds = balanced_dataset(437, seed=seed, pos_fraction=0.3)
             _, test = holdout_split(ds, 0.2, seed)
             benign, malware = ds.class_counts()
-            tb, tm = test.class_counts()
+            tb, tm = class_counts(ds.labels[test])
             assert abs(tb - 0.2 * benign) <= 1
             assert abs(tm - 0.2 * malware) <= 1
 
@@ -407,6 +423,9 @@ class TestHoldoutSplit:
         ds = balanced_dataset(150, seed=2)
         train, test = holdout_split(ds, 0.2, 3)
         assert len(train) + len(test) == len(ds)
+        for rows in (train, test):
+            assert (np.diff(rows) > 0).all()
+        np.testing.assert_array_equal(np.sort(np.concatenate([train, test])), np.arange(len(ds)))
 
     def test_bad_fraction_rejected(self):
         ds = balanced_dataset(100)
@@ -419,7 +438,7 @@ class TestHoldoutSplit:
 class TestPartitionClients:
     def test_even_hundred_into_five(self):
         ds = balanced_dataset(100)
-        shards = partition_clients(ds, 5, local_test_fraction=0.2, seed=0)
+        shards = partition_clients(ds, np.arange(len(ds)), 5, local_test_fraction=0.2, seed=0)
         assert len(shards) == 5
         for shard in shards:
             assert len(shard.train) == 16
@@ -427,37 +446,36 @@ class TestPartitionClients:
 
     def test_remainder_goes_to_early_clients(self):
         ds = balanced_dataset(101)
-        shards = partition_clients(ds, 5, seed=0)
+        shards = partition_clients(ds, np.arange(len(ds)), 5, seed=0)
         sizes = sorted((len(s.train) + len(s.local_test) for s in shards), reverse=True)
         assert sizes == [21, 20, 20, 20, 20]
 
     def test_disjoint_and_cover(self):
         for seed in range(10):
             ds = balanced_dataset(157, seed=seed)
-            shards = partition_clients(ds, 4, seed=seed)
-            all_idx = np.concatenate(
-                [np.concatenate([s.train_indices, s.test_indices]) for s in shards])
+            shards = partition_clients(ds, np.arange(len(ds)), 4, seed=seed)
+            all_idx = np.concatenate([np.concatenate([s.train, s.local_test]) for s in shards])
             assert len(set(all_idx.tolist())) == len(all_idx) == len(ds)
 
     def test_inner_split_disjoint_and_both_classes(self):
         ds = balanced_dataset(200, seed=1)
-        for shard in partition_clients(ds, 5, seed=1):
-            assert not set(shard.train_indices) & set(shard.test_indices)
-            assert len(np.unique(shard.local_test.labels)) == 2
-            assert len(np.unique(shard.train.labels)) == 2
+        for shard in partition_clients(ds, np.arange(len(ds)), 5, seed=1):
+            assert not set(shard.train) & set(shard.local_test)
+            assert len(np.unique(ds.labels[shard.local_test])) == 2
+            assert len(np.unique(ds.labels[shard.train])) == 2
 
     def test_deterministic_for_fixed_seed(self):
         ds = balanced_dataset(120, seed=4)
-        a = partition_clients(ds, 3, seed=7)
-        b = partition_clients(ds, 3, seed=7)
+        a = partition_clients(ds, np.arange(len(ds)), 3, seed=7)
+        b = partition_clients(ds, np.arange(len(ds)), 3, seed=7)
         for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.train_indices, sb.train_indices)
-            np.testing.assert_array_equal(sa.test_indices, sb.test_indices)
+            np.testing.assert_array_equal(sa.train, sb.train)
+            np.testing.assert_array_equal(sa.local_test, sb.local_test)
 
     def test_too_few_samples_is_an_error(self):
         ds = balanced_dataset(40, pos_fraction=0.1)  # 4 positives over 5 clients
         with pytest.raises(DatasetError, match="too few samples per client"):
-            partition_clients(ds, 5, seed=0)
+            partition_clients(ds, np.arange(len(ds)), 5, seed=0)
 
     def test_shard_with_one_sample_of_a_class_cannot_split(self):
         labels = np.zeros(20, dtype=np.int64)
@@ -465,12 +483,20 @@ class TestPartitionClients:
         ds = Dataset(name="toy", features=np.zeros((20, 3)), labels=labels)
         with pytest.raises(DatasetError,
                            match=r"toy: client 0: class 1 has 1 sample\(s\); cannot split; too few"):
-            partition_clients(ds, 2, seed=1)
+            partition_clients(ds, np.arange(len(ds)), 2, seed=1)
+
+    def test_deals_out_only_the_given_rows_of_the_table(self):
+        ds = balanced_dataset(157, seed=3)
+        rows = np.flatnonzero(np.arange(len(ds)) % 3)
+        shards = partition_clients(ds, rows, 4, seed=3)
+        dealt = np.concatenate([np.concatenate([s.train, s.local_test]) for s in shards])
+        np.testing.assert_array_equal(np.sort(dealt), rows)
+        assert all(s.data is ds for s in shards)
 
     def test_single_client_rejected(self):
         ds = balanced_dataset(50)
         with pytest.raises(ValueError, match="n_clients"):
-            partition_clients(ds, 1)
+            partition_clients(ds, np.arange(len(ds)), 1)
 
 
 class TestScalingAndDataset:
@@ -496,10 +522,8 @@ class TestScalingAndDataset:
         scaled = min_max_scale(ds)
         np.testing.assert_array_equal(scaled.features[:, 0], [0.0, 0.0])
 
-    def test_class_counts_and_subset(self):
+    def test_class_counts(self):
         ds = balanced_dataset(10, pos_fraction=0.3)
         benign, malware = ds.class_counts()
         assert benign + malware == 10
         assert malware == 3
-        sub = ds.subset([0, 1, 2])
-        assert len(sub) == 3

@@ -1,8 +1,11 @@
 """Federated loop tests: round mechanics, determinism and seed derivation."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fedsim.aggregation import AggregationStrategy, PriorityIndex, dw_fedavg, update_priority_index
+from fedsim.data import Dataset
 from fedsim.federation import (
     ClientState,
     ExperimentConfig,
@@ -144,6 +147,31 @@ class TestRunRound:
             assert report.client_local_acc.size == cfg.n_clients
 
 
+class TestSetupRepeat:
+    def test_shards_index_the_dataset_and_leave_out_only_the_holdout_rows(self, small_dataset):
+        holdout, clients, _, _ = setup_repeat(small_config(n_clients=4), small_dataset, run_seed=5)
+        assert all(c.shard.data is small_dataset for c in clients)
+        dealt = np.concatenate([np.concatenate([c.shard.train, c.shard.local_test])
+                                for c in clients])
+        assert np.unique(dealt).size == dealt.size
+        rest = np.setdiff1d(np.arange(len(small_dataset)), dealt)
+        assert rest.size == len(holdout)
+        assert holdout.features.tobytes() == small_dataset.features[rest].tobytes()
+        assert holdout.labels.tobytes() == small_dataset.labels[rest].tobytes()
+
+    def test_the_holdout_is_the_only_copy_of_feature_rows(self):
+        ds = resolve_synthetic("synth-drebin")
+        cfg = ExperimentConfig(dataset=ds.name, n_clients=5)
+        tracemalloc.start()
+        try:
+            setup_repeat(cfg, ds, run_seed=42)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the holdout alone is 0.2 of the features
+        assert peak < 0.5 * ds.features.nbytes
+
+
 class TestRunExperiment:
     def test_identical_master_seed_identical_summaries(self, small_dataset):
         cfg = small_config(repeats=2)
@@ -202,9 +230,12 @@ class TestPoorClient:
         ds = resolve_synthetic("synth-malgenome")
         cfg = ExperimentConfig(dataset=ds.name, n_clients=5, n_rounds=10, strategy=strategy,
                                repeats=1, master_seed=42)
-        holdout, clients, params, idx = setup_repeat(cfg, ds, run_seed=42)
-        # client 0 trains on flipped labels; its local test split stays clean
-        clients[0].shard.train.labels = 1 - clients[0].shard.train.labels
+        # the shards index the table they are given: flip a copy of the labels, not ds's own
+        flipped = Dataset(ds.name, ds.features, ds.labels.copy())
+        holdout, clients, params, idx = setup_repeat(cfg, flipped, run_seed=42)
+        # client 0 trains on flipped labels; the holdout and local test rows stay clean
+        train = clients[0].shard.train
+        flipped.labels[train] = 1 - flipped.labels[train]
         for round_num in range(1, cfg.n_rounds + 1):
             params, idx, report = run_round(params, clients, idx, cfg, holdout=holdout,
                                             run_seed=42, round_num=round_num)

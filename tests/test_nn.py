@@ -316,22 +316,37 @@ class TestSgd:
     @pytest.mark.parametrize("batch_size", [32, 7, 1])
     def test_a_stack_trains_like_its_networks_alone(self, sizes, batch_size):
         # unequal sets give a step's batches several sizes, so the stack splits
-        # into runs of equal size; unordered, rows of one size are not adjacent
+        # into runs of equal size; unordered, rows of one size are not adjacent.
+        # Each network's rows are a scattered subset of one shared table.
         rng = np.random.default_rng(16)
         nets = [init_network(5, [6, 4], seed) for seed in range(len(sizes))]
-        Xs = [rng.normal(size=(n, 5)) for n in sizes]
-        ys = [rng.integers(0, 2, size=n) for n in sizes]
+        X = rng.normal(size=(sum(sizes), 5))
+        y = rng.integers(0, 2, size=sum(sizes))
+        rows = np.split(rng.permutation(sum(sizes)), np.cumsum(sizes)[:-1])
         cfg = TrainConfig(learning_rate=0.3, batch_size=batch_size)
         stack = np.array([net.params for net in nets])
         stack_rngs = [np.random.default_rng(seed) for seed in range(len(sizes))]
         alone_rngs = [np.random.default_rng(seed) for seed in range(len(sizes))]
         for _ in range(3):
-            losses = sgd_epochs(stack, nets[0].layer_dims, Xs, ys, cfg, stack_rngs,
+            losses = sgd_epochs(stack, nets[0].layer_dims, X, y, rows, cfg, stack_rngs,
                                 np.empty_like(stack))
-            alone = [sgd_epoch(net, X, y, cfg, r) for net, X, y, r in zip(nets, Xs, ys, alone_rngs)]
+            alone = [sgd_epoch(net, X[r], y[r], cfg, rng)
+                     for net, r, rng in zip(nets, rows, alone_rngs)]
             assert stack.tobytes() == np.array([net.params for net in nets]).tobytes()
             assert losses.tobytes() == np.array(alone).tobytes()
         assert len({net.params.tobytes() for net in nets}) == len(nets)
+
+    def test_negative_rows_train_on_the_rows_indexing_reads(self):
+        # features and labels of a batch must come from the same rows
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(40, 5))
+        y = rng.integers(0, 2, size=40)
+        cfg = TrainConfig(learning_rate=0.3, batch_size=7)
+        nets = [init_network(5, [6, 4], 0) for _ in range(2)]
+        for net, rows in zip(nets, (np.arange(10, 30), np.arange(10, 30) - 40)):
+            sgd_epochs(net.params[None], net.layer_dims, X, y, [rows], cfg,
+                       [np.random.default_rng(1)], np.empty_like(net.params[None]))
+        assert nets[0].params.tobytes() == nets[1].params.tobytes()
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(11)

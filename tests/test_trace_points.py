@@ -2,13 +2,17 @@
 
 perfbench/tracing.py wraps fedsim functions and methods by module and
 attribute path. A rename under src/ that one of those paths misses would
-crash every traced benchmark run; this test fails first instead.
+crash every traced benchmark run; this test fails first instead. Its round
+attributes read the shards and the holdout of a round's arguments, so they
+are checked against a real round.
 """
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from fedsim import ExperimentConfig, resolve_synthetic, run_round, setup_repeat
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -29,3 +33,16 @@ def test_trace_point_resolves(module_name, path):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_round_attrs_count_the_rows_of_a_real_round():
+    # run on every benchmark run, traced or not, with run_repeat's call of run_round
+    dataset = resolve_synthetic("synth-small")
+    cfg = ExperimentConfig(dataset=dataset.name, n_clients=3, n_rounds=1, repeats=1,
+                           hidden_dims=(8,))
+    holdout, clients, params, idx = setup_repeat(cfg, dataset, run_seed=3)
+    args = (params, clients, idx, cfg)
+    kwargs = {"holdout": holdout, "run_seed": 3, "round_num": 1}
+    attrs = load_tracing()._round_attrs(args, kwargs, run_round(*args, **kwargs))
+    assert attrs["data_rows"] == len(dataset)
+    assert attrs["train_rows"] == sum(len(c.shard.train) for c in clients) * cfg.train.local_epochs
