@@ -70,10 +70,6 @@ class PriorityIndex:
         if self.round < 0:
             raise ValueError("round must be non-negative")
 
-    @property
-    def n_clients(self) -> int:
-        return self.betas.size
-
     @classmethod
     def uniform(cls, n_clients: int, alpha: float = 0.2) -> "PriorityIndex":
         """Fresh index with equal priority 1/n for every client."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import itertools
 import json
 import logging
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from . import _blas
 from .aggregation import AggregationStrategy
-from .data import DatasetError
+from .data import DatasetError, _read_text
 from .federation import ExperimentConfig, ExperimentResult, run_experiment
 from .manifest import GRID_AXES, GRID_PRESETS, SETTINGS, ConfigError, RunManifest
 from .metrics import METRIC_NAMES
@@ -222,9 +223,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def load_summary(path: Path) -> list[dict[str, str]]:
     if not path.is_file():
         raise ConfigError(f"summary file not found: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
+    rows = list(csv.DictReader(io.StringIO(_read_text(path), newline="")))
     missing = [f for f in SUMMARY_FIELDS if rows and f not in rows[0]]
     if not rows or missing:
         raise ConfigError(f"{path}: not a summary CSV (missing {missing or 'rows'})")

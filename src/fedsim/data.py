@@ -195,23 +195,25 @@ def _read_lines(path: Path, lines: list[str], offset: int, label_idx: int, mappi
     for start in range(0, len(lines), _BLOCK_LINES):
         block = lines[start : start + _BLOCK_LINES]
         try:
-            kept, block_dropped = _read_block(block, label_idx, mapping, features[n:], labels[n:])
+            _read_block(block, label_idx, mapping, features[n:], labels[n:])
+            n += len(block)
         except ValueError:
             kept, block_dropped = _rows_by_rule(path, csv.reader(block), offset + start, label_idx,
                                                 mapping, features[n:], labels[n:])
-        n += kept
-        dropped += block_dropped
+            n += kept
+            dropped += block_dropped
     return n, dropped
 
 
 def _read_block(lines: list[str], label_idx: int, mapping: dict[str, int], features: np.ndarray,
-                labels: np.ndarray) -> tuple[int, int]:
-    """(kept, dropped) of unquoted lines parsed by numpy's C reader, kept rows written first.
+                labels: np.ndarray) -> None:
+    """Parse unquoted lines with numpy's C reader and write all of them to the arrays' fronts.
 
     loadtxt gives every cell it accepts the double ``float()`` gives it. A
     ValueError, raised before anything is written, means it rejects the block
     (a cell it cannot parse, an empty or unknown label, a ragged row), would
-    misread it (it skips blank lines) or returns its rows in the wrong shape.
+    misread it (it skips blank lines), returns its rows in the wrong shape or
+    holds a cell that is not finite: the row rules drop such rows.
     """
     if "" in lines:
         raise ValueError("blank line")
@@ -219,12 +221,11 @@ def _read_block(lines: list[str], label_idx: int, mapping: dict[str, int], featu
                        ndmin=2, converters={label_idx: lambda cell: mapping[cell.strip().lower()]})
     if table.shape != (len(lines), features.shape[1] + 1):
         raise ValueError(f"rows of shape {table.shape}")
-    finite = np.isfinite(table).all(axis=1)
-    if not finite.all():
-        table = table[finite]
-    features[: len(table)] = np.delete(table, label_idx, axis=1)
-    labels[: len(table)] = table[:, label_idx]
-    return len(table), len(lines) - len(table)
+    if not np.isfinite(table).all():
+        raise ValueError("a cell that is not finite")
+    features[: len(lines), :label_idx] = table[:, :label_idx]
+    features[: len(lines), label_idx:] = table[:, label_idx + 1 :]
+    labels[: len(lines)] = table[:, label_idx]
 
 
 def _rows_by_rule(path: Path, records, offset: int, label_idx: int, mapping: dict[str, int],
@@ -276,19 +277,15 @@ def _check_known_profile(ds: Dataset) -> None:
 
 
 def min_max_scale(ds: Dataset) -> Dataset:
-    """Column-wise min-max scaling to [0, 1]; constant columns map to 0."""
+    """Scale ``ds.features`` column-wise to [0, 1] in place; constant columns map to 0.
+
+    Returns ``ds``. Copy the features first to keep the raw values.
+    """
     lo = ds.features.min(axis=0)
     hi = ds.features.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    features = ds.features - lo
-    features /= span
-    return Dataset(
-        name=ds.name,
-        features=features,
-        labels=ds.labels.copy(),
-        feature_names=ds.feature_names,
-        n_dropped=ds.n_dropped,
-    )
+    ds.features -= lo
+    ds.features /= np.where(hi > lo, hi - lo, 1.0)
+    return ds
 
 
 def _per_class_test_indices(labels: np.ndarray, fraction: float,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .aggregation import AggregationStrategy
-from .data import KNOWN_DATASETS, Dataset, load_csv, min_max_scale
+from .data import KNOWN_DATASETS, Dataset, _read_text, load_csv, min_max_scale
 from .federation import ExperimentConfig
 from .nn import TrainConfig
 from .synth import SURROGATES, resolve_synthetic
@@ -130,7 +130,7 @@ class RunManifest:
             raise ConfigError(f"manifest not found: {path}")
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            parser.read(path, encoding="utf-8")
+            parser.read_string(_read_text(path), source=str(path))
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from None
 

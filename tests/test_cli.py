@@ -2,7 +2,10 @@
 import configparser
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -343,6 +346,23 @@ class TestRunCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["taken"] + (["m.ini"] if via == "manifest" else []))
 
+    def test_manifest_with_a_utf8_bom_runs(self, tmp_path):
+        manifest = tmp_path / "m.ini"
+        manifest.write_bytes(b"\xef\xbb\xbf[grid]\ndatasets = synth-small\nclients = 2\nrounds = 1\n"
+                             b"strategies = fedavg\n\n[defaults]\nrepeats = 1\n")
+        out = tmp_path / "o"
+        assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == EXIT_OK
+        assert len(list(out.glob("summary_*.csv"))) == 1
+
+    def test_manifest_that_is_not_utf8_is_exit_two_naming_the_byte(self, tmp_path, capsys):
+        manifest = tmp_path / "m.ini"
+        manifest.write_bytes(b"[grid]\n# caf\xe9\ndatasets = synth-small\n")
+        out = tmp_path / "o"
+        assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: not UTF-8 text: byte 0xe9 at offset 12\n")
+        assert not out.exists()
+
     def test_meta_records_the_blas_training_ran_with(self, tmp_path):
         out = tmp_path / "o"
         assert main(["run", "--dataset", "synth-small", "--rounds", "1", "--repeats", "1",
@@ -465,12 +485,44 @@ class TestCompareCommand:
         assert captured.err.startswith(f"error: cannot write {out}: ") and captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "taken"]
 
+    def test_summary_with_a_utf8_bom_compares(self, tmp_path, capsys):
+        a = make_summary(tmp_path, "a.csv", [summary_row()])
+        b = tmp_path / "b.csv"
+        b.write_bytes(b"\xef\xbb\xbf" + a.read_bytes())
+        assert main(["compare", str(a), str(b)]) == EXIT_OK
+        assert "+0.000" in capsys.readouterr().out
+
+    def test_summary_that_is_not_utf8_is_exit_two_naming_the_byte(self, tmp_path, capsys):
+        a = make_summary(tmp_path, "a.csv", [summary_row()])
+        b = tmp_path / "b.csv"
+        b.write_bytes(a.read_bytes().replace(b"malgenome", b"malg\xe9nome"))
+        offset = b.read_bytes().index(b"\xe9")
+        assert main(["compare", str(a), str(b)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {b}: not UTF-8 text: byte 0xe9 at offset {offset}\n"
+        assert captured.out == ""
+
     def test_malformed_summary_rejected(self, tmp_path):
         from fedsim.manifest import ConfigError
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         with pytest.raises(ConfigError, match="not a summary"):
             load_summary(bad)
+
+
+class TestEntrypoint:
+    @pytest.mark.parametrize("clients, code", [("3", EXIT_OK), ("1", EXIT_CONFIG)])
+    def test_module_run_exits_with_the_run_code(self, tmp_path, clients, code):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedsim.cli", "run", "--dataset", "synth-small",
+             "--clients", clients, "--rounds", "1", "--repeats", "1", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == code, proc.stderr
+        assert len(list(out.glob("summary_*.csv"))) == (1 if code == EXIT_OK else 0)
 
 
 class TestDocs:

@@ -368,6 +368,13 @@ class TestRowsReadByRule:
         # Body lines start at line 2, so the block holding line 300 is lines 290-321.
         assert self._lines_read_by_rule(monkeypatch, p) == list(range(290, 322))
 
+    def test_a_non_finite_cell_takes_its_block_with_it(self, tmp_path, monkeypatch, caplog):
+        p = write_csv(tmp_path / "t.csv", _multi_block_table(bad_lines=[(300, "1,inf,B,2")]))
+        assert self._lines_read_by_rule(monkeypatch, p) == list(range(290, 322))
+        outcome = _load_outcome(load_csv, p, caplog)
+        assert outcome == _load_outcome(reference_load_csv, p, caplog)
+        assert outcome[4] == 1  # n_dropped
+
     def test_a_quoted_body_is_read_by_rule(self, tmp_path, monkeypatch):
         p = write_csv(tmp_path / "t.csv", _multi_block_table(bad_lines=[(600, '1,"2",B,3')]))
         assert len(self._lines_read_by_rule(monkeypatch, p)) == 3 * 256 + 41
@@ -511,9 +518,9 @@ class TestScalingAndDataset:
     def test_min_max_scale_is_byte_equal_to_the_textbook_formula(self):
         X = np.random.default_rng(3).normal(0, 10, size=(40, 5))
         X[:, 2] = 4.0
-        scaled = min_max_scale(Dataset(name="x", features=X, labels=np.zeros(40, np.int64)))
         lo, hi = X.min(axis=0), X.max(axis=0)
         expected = (X - lo) / np.where(hi > lo, hi - lo, 1.0)
+        scaled = min_max_scale(Dataset(name="x", features=X, labels=np.zeros(40, np.int64)))
         assert scaled.features.tobytes() == expected.tobytes()
 
     def test_constant_column_maps_to_zero(self):

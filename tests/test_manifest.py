@@ -1,6 +1,7 @@
 """Manifest parsing and dataset resolution tests."""
 import re
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
@@ -254,6 +255,23 @@ class TestResolve:
         # scale = true in the manifest applies min-max scaling
         assert ds.features.max() == 1.0
         assert ds.features.min() == 0.0
+
+    def test_a_scaled_entry_holds_one_table(self, tmp_path):
+        rng = np.random.default_rng(5)
+        lines = [",".join([*map(str, rng.integers(0, 10, 59)), "B" if i % 2 else "S"])
+                 for i in range(4000)]
+        (tmp_path / "toy.csv").write_text(
+            ",".join([*(f"f{i}" for i in range(59)), "class"]) + "\n" + "\n".join(lines) + "\n",
+            encoding="utf-8")
+        m = RunManifest.load(write_manifest(tmp_path, "[dataset.toy]\npath = toy.csv\nscale = true\n"))
+        tracemalloc.start()
+        try:
+            ds = m.resolve_dataset("toy")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.features.shape == (4000, 59) and ds.features.max() == 1.0
+        assert peak < 1.8 * ds.features.nbytes
 
     def test_missing_entry_path_names_the_entry(self, tmp_path):
         m = RunManifest.load(write_manifest(tmp_path, FULL_MANIFEST))
