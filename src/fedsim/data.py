@@ -95,9 +95,10 @@ class ClientShard:
     local_test: np.ndarray
 
 
-# Lines per np.loadtxt call. A block that holds a line the C reader rejects
-# goes through the row rules whole, so a larger block pays loadtxt's per-call
-# overhead less often but reads more lines by rule around each bad one.
+# Lines per block (one byte read or np.loadtxt call). A block that holds a
+# line the C reader rejects goes through the row rules whole, so a larger
+# block pays the per-block overhead less often but reads more lines by rule
+# around each bad one.
 _BLOCK_LINES = 32
 
 
@@ -111,9 +112,12 @@ def load_csv(path, label_column: str, label_mapping: dict[str, int] | None = Non
     value missing from the mapping is an error; an empty label cell drops the
     row like any other missing value.
 
-    A body without a ``"`` is read by numpy's C reader (see ``_read_lines``);
-    one with a ``"`` is read record by record through ``csv``, at the speed of a
-    per-row loop, because a quoted cell may hold a comma or a line end.
+    A body without a ``"`` is read in blocks of lines (see ``_read_lines``): a
+    block of one-character cells, every feature a digit, straight from its
+    bytes, any other block by numpy's C reader, and a block that fails both by
+    the row rules. A body with a ``"`` is read record by record through
+    ``csv``, at the speed of a per-row loop, because a quoted cell may hold a
+    comma or a line end.
     """
     path = Path(path)
     if not path.is_file():
@@ -207,25 +211,67 @@ def _read_lines(path: Path, lines: list[str], offset: int, label_idx: int, mappi
 
 def _read_block(lines: list[str], label_idx: int, mapping: dict[str, int], features: np.ndarray,
                 labels: np.ndarray) -> None:
-    """Parse unquoted lines with numpy's C reader and write all of them to the arrays' fronts.
+    """Parse unquoted lines and write all of them to the arrays' fronts.
 
-    loadtxt gives every cell it accepts the double ``float()`` gives it. A
-    ValueError, raised before anything is written, means it rejects the block
-    (a cell it cannot parse, an empty or unknown label, a ragged row), would
-    misread it (it skips blank lines), returns its rows in the wrong shape or
-    holds a cell that is not finite: the row rules drop such rows.
+    A block of one-character cells, every feature an ASCII digit, is read
+    from its bytes (see ``_one_character_block``). Any other block goes to
+    numpy's C reader, which gives every cell it accepts the double ``float()``
+    gives it. A ValueError, raised before anything is written, means it
+    rejects the block (a cell it cannot parse, an empty or unknown label, a
+    ragged row), would misread it (it skips blank lines), returns its rows in
+    the wrong shape or holds a cell that is not finite: the row rules drop
+    such rows.
     """
     if "" in lines:
         raise ValueError("blank line")
-    table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, dtype=np.float64,
-                       ndmin=2, converters={label_idx: lambda cell: mapping[cell.strip().lower()]})
-    if table.shape != (len(lines), features.shape[1] + 1):
-        raise ValueError(f"rows of shape {table.shape}")
-    if not np.isfinite(table).all():
-        raise ValueError("a cell that is not finite")
+    block = _one_character_block(lines, features.shape[1] + 1, label_idx, mapping)
+    if block is not None:
+        table, block_labels = block
+    else:
+        table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, dtype=np.float64,
+                           ndmin=2, converters={label_idx: lambda cell: mapping[cell.strip().lower()]})
+        if table.shape != (len(lines), features.shape[1] + 1):
+            raise ValueError(f"rows of shape {table.shape}")
+        if not np.isfinite(table).all():
+            raise ValueError("a cell that is not finite")
+        block_labels = table[:, label_idx]
     features[: len(lines), :label_idx] = table[:, :label_idx]
     features[: len(lines), label_idx:] = table[:, label_idx + 1 :]
-    labels[: len(lines)] = table[:, label_idx]
+    labels[: len(lines)] = block_labels
+
+
+def _one_character_block(lines: list[str], n_cols: int, label_idx: int,
+                         mapping: dict[str, int]) -> tuple[np.ndarray, np.ndarray] | None:
+    """(cells less ``ord("0")``, label values) of lines of one-character cells, else None.
+
+    Every line must hold exactly ``n_cols`` cells, each cell one byte
+    followed by a comma (the last by the line end), every feature byte must be
+    a digit and every label byte must map by the C reader's converter rule. A
+    one-digit cell is the double ``float()`` gives it, so the block reads as
+    loadtxt would read it; a block that fails a check returns None unread, for
+    loadtxt to take.
+    """
+    text = ("\n".join(lines) + "\n").encode()
+    if len(text) != 2 * n_cols * len(lines):
+        return None
+    # With a comma or line end at every other byte, as checked next, a
+    # multi-byte character has no place to sit: every cell is one ASCII byte.
+    cells = np.frombuffer(text, dtype=np.uint8).reshape(len(lines), 2 * n_cols)
+    if not (cells[:, 1::2] == np.frombuffer(b"," * (n_cols - 1) + b"\n", dtype=np.uint8)).all():
+        return None
+    digits = cells[:, ::2] - np.uint8(ord("0"))  # a byte below "0" wraps above 9
+    label_bytes = cells[:, 2 * label_idx]
+    digits[:, label_idx] = 0
+    if digits.max() > 9:
+        return None
+    values = np.zeros(256)
+    for byte in set(label_bytes.tolist()):
+        key = chr(byte).strip().lower()
+        # A comma label would hide one more cell from the row-length rule.
+        if byte == ord(",") or key not in mapping:
+            return None
+        values[byte] = mapping[key]
+    return digits, values[label_bytes]
 
 
 def _rows_by_rule(path: Path, records, offset: int, label_idx: int, mapping: dict[str, int],

@@ -26,7 +26,7 @@ from ._blas import one_blas_thread
 from .aggregation import AggregationStrategy, PriorityIndex, dw_fedavg, fedavg, update_priority_index
 from .data import ClientShard, Dataset, holdout_split, partition_clients
 from .metrics import METRIC_NAMES, MetricSet, evaluate_scores
-from .nn import DenseNetwork, TrainConfig, init_network, predict_labels, sgd_epochs
+from .nn import DenseNetwork, TrainConfig, _param_count, init_network, predict_labels, sgd_epochs
 from .nn import sgd_epoch  # noqa: F401  (a name perfbench/tracing.py wraps)
 
 # spawn-key domains for deriving independent RNG streams from one run seed
@@ -149,6 +149,9 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError(f"hidden_dims must all be >= 1, got {self.hidden_dims}")
+        if _param_count([1, *self.hidden_dims, 1]) > np.iinfo(np.intp).max:
+            raise ValueError(f"hidden_dims {self.hidden_dims} give more parameters than numpy "
+                             "can index, even at input width 1")
         if isinstance(self.strategy, str):
             self.strategy = AggregationStrategy.parse(self.strategy)
 

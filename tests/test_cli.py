@@ -204,6 +204,8 @@ class TestRunCommand:
         assert err.startswith("error: ") and named in err
         assert not out.exists()
 
+    # numpy warns of the overflow this run provokes on purpose
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_training_is_exit_one_without_summary(self, tmp_path, caplog):
         # at this seed and learning rate two clients overflow to inf in round 1
         out = tmp_path / "o"
@@ -245,6 +247,8 @@ class TestRunCommand:
         assert "holdout fraction 0.001 draws no sample of class" in capsys.readouterr().err
         assert not out.exists()
 
+    # the same divergent run as above, and its warnings
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_runtime_failure_keeps_an_output_directory_it_did_not_create(self, tmp_path):
         out = tmp_path / "o"
         out.mkdir()
@@ -315,7 +319,7 @@ class TestRunCommand:
         assert err.startswith(f"error: {manifest}: ") and named in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["", ",", "64, x"])
+    @pytest.mark.parametrize("value", ["", ",", "64, x", "99999999999999999999"])
     def test_bad_hidden_dims_is_exit_two_before_any_output(self, tmp_path, capsys, value):
         manifest = write(tmp_path, f"[grid]\ndatasets = synth-small\n\n"
                                    f"[defaults]\nhidden_dims = {value}\n")

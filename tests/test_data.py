@@ -1,5 +1,6 @@
 """Dataset loading, holdout splitting and client partition tests."""
 import csv
+import functools
 import logging
 import tracemalloc
 from pathlib import Path
@@ -256,6 +257,19 @@ def _multi_block_table(n_rows=3 * 256 + 41, bad_lines=(), unknown_label_line=Non
     return "\n".join(lines) + "\n"
 
 
+def _one_character_table(n_rows=3 * 256 + 41, bad_lines=()):
+    """A 5-feature table of one-digit cells over many blocks, the label column in the middle."""
+    rng = np.random.default_rng(12)
+    lines = ["f0,f1,class,f2,f3,f4"]
+    for i in range(n_rows):
+        cells = [str(d) for d in rng.integers(0, 10, 5)]
+        cells.insert(2, "SBsb01"[i % 6])
+        lines.append(",".join(cells))
+    for lineno, text in bad_lines:
+        lines[lineno - 1] = text
+    return "\n".join(lines) + "\n"
+
+
 # Bad rows on both sides of the block boundaries at lines 257/258 and 513/514.
 _BOUNDARY_ROWS = [(256, "1,?,B,2"), (257, "1,2,S"), (258, ""), (259, "nan,1,B,2"),
                   (513, "1,2,B,3,4"), (514, "   "), (515, "1,inf,S,2"), (700, "1,2,,3")]
@@ -313,6 +327,20 @@ LOADER_CORPUS = [
                  id="quoted-header-over-three-blocks"),
     pytest.param(b'"f\r\n0",class\r\n1,B\r\n2,S\r\nx,S\r\n3,weird\r\n',
                  id="line-end-in-quoted-header"),
+    pytest.param(_one_character_table().encode(), id="one-character-cells"),
+    pytest.param(_one_character_table(bad_lines=[(600, "1,2,x,3,4,5")]).encode(),
+                 id="one-character-unknown-label-in-third-block"),
+    # Blocks of the right byte total, but not the right cells: a line with an
+    # extra cell next to one missing a cell, and a 10 cell next to an empty one.
+    pytest.param(_one_character_table(bad_lines=[(300, "1,2,S,3,4,5,6"), (301, "1,1,0,3,4"),
+                                                 (400, "1,10,,S,3,4")]).encode(),
+                 id="one-character-ragged-lines-of-matching-length"),
+    pytest.param(_one_character_table(bad_lines=[(300, "1,2,S,\u00e9,4,5"),
+                                                 (400, "1,\u0663,B,3,4,5")]).encode(),
+                 id="one-character-non-ascii-cells"),
+    pytest.param(_one_character_table(bad_lines=[(300, "1,2,S, ,4,5"), (400, "1,2, ,3,4,5"),
+                                                 (500, "1,2,\t,3,4,5")]).encode(),
+                 id="one-character-whitespace-cell-and-label"),
 ]
 
 
@@ -378,6 +406,41 @@ class TestRowsReadByRule:
     def test_a_quoted_body_is_read_by_rule(self, tmp_path, monkeypatch):
         p = write_csv(tmp_path / "t.csv", _multi_block_table(bad_lines=[(600, '1,"2",B,3')]))
         assert len(self._lines_read_by_rule(monkeypatch, p)) == 3 * 256 + 41
+
+
+class TestOneCharacterBlocks:
+    """A block of one-character cells is read from its bytes, without numpy's C reader."""
+
+    @staticmethod
+    def _loadtxt_calls(monkeypatch, path):
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        load_csv(path, "class")
+        return len(calls)
+
+    def test_a_one_character_table_never_calls_loadtxt(self, tmp_path, monkeypatch):
+        p = write_csv(tmp_path / "t.csv", _one_character_table())
+        assert self._loadtxt_calls(monkeypatch, p) == 0
+
+    def test_a_comma_label_is_not_read_as_one_cell(self, tmp_path, caplog):
+        # Three commas in a row are two empty cells to csv, whatever the label map holds.
+        p = write_csv(tmp_path / "t.csv", _one_character_table(bad_lines=[(300, "1,2,,,3,4,5")]))
+        mapping = {**DEFAULT_LABEL_MAP, ",": 1}
+        outcome = _load_outcome(functools.partial(load_csv, label_mapping=mapping), p, caplog)
+        assert outcome == _load_outcome(functools.partial(reference_load_csv, label_mapping=mapping),
+                                        p, caplog)
+        assert outcome[4] == 1  # n_dropped
+
+    def test_other_blocks_call_loadtxt_once_each(self, tmp_path, monkeypatch):
+        p = write_csv(tmp_path / "t.csv", _multi_block_table())
+        n_blocks = -(-(3 * 256 + 41) // data._BLOCK_LINES)
+        assert self._loadtxt_calls(monkeypatch, p) == n_blocks
 
 
 class TestHoldoutSplit:
