@@ -56,7 +56,7 @@ _TRAIN_SETTINGS = [name for name in SETTINGS if name in {f.name for f in fields(
 
 def expand_grid(manifest: RunManifest) -> list[GridCell]:
     """Cartesian product of the manifest grid in GRID_AXES order; a repeated cell is a ConfigError."""
-    axes = [getattr(manifest, f"grid_{axis}") for axis in GRID_AXES]
+    axes = [manifest.grid[axis] for axis in GRID_AXES]
     cells = [GridCell(*values) for values in itertools.product(*axes)]
     repeated = [cell.slug() for i, cell in enumerate(cells) if cell in cells[:i]]
     if repeated:  # it would write a duplicate summary row and overwrite its round log
@@ -66,7 +66,7 @@ def expand_grid(manifest: RunManifest) -> list[GridCell]:
 
 def cell_config(manifest: RunManifest, cell: GridCell) -> ExperimentConfig:
     """The cell's experiment; each SETTINGS value goes to the config field of its name."""
-    settings = {name: getattr(manifest, name) for name in SETTINGS}
+    settings = dict(manifest.settings)
     train = TrainConfig(**{name: settings.pop(name) for name in _TRAIN_SETTINGS})
     return ExperimentConfig(dataset=cell.dataset, n_clients=cell.clients, n_rounds=cell.rounds,
                             strategy=cell.strategy, train=train, **settings)
@@ -74,7 +74,7 @@ def cell_config(manifest: RunManifest, cell: GridCell) -> ExperimentConfig:
 
 def run_hash(manifest: RunManifest, cells: list[GridCell]) -> str:
     """Short stable digest of everything that affects the numbers."""
-    payload = {name: getattr(manifest, name) for name in SETTINGS}
+    payload = dict(manifest.settings)
     payload["cells"] = [[c.dataset, c.clients, c.rounds, c.strategy.value] for c in cells]
     # Manifest dataset entries as written; a grid of synth-* and known names has none.
     entries = {c.dataset: asdict(manifest.datasets[c.dataset])
@@ -139,18 +139,17 @@ def format_summary_table(rows: list[dict[str, str]]) -> str:
 
 
 def run_cells(
-    manifest: RunManifest, cells: list[GridCell], threads: int = 1,
+    manifest: RunManifest, configs: dict[GridCell, ExperimentConfig], threads: int = 1,
     on_cell: Callable[[GridCell, ExperimentResult], None] | None = None,
 ) -> tuple[list[dict[str, str]], dict[str, float]]:
-    """Run every cell; returns (summary rows, wall times by slug).
+    """Run each cell's config on its dataset; returns (summary rows, wall times by slug).
 
     ``on_cell(cell, result)`` is called as each cell finishes, on the thread that ran it.
     """
     def one(cell: GridCell) -> tuple[GridCell, ExperimentResult, float]:
         dataset = manifest.resolve_dataset(cell.dataset)
-        cfg = cell_config(manifest, cell)
         start = time.perf_counter()
-        result = run_experiment(cfg, dataset)
+        result = run_experiment(configs[cell], dataset)
         elapsed = time.perf_counter() - start
         log.info("done %-40s %6.1fs  acc=%.4f", cell.slug(), elapsed,
                  result.summary()["accuracy"][0])
@@ -158,11 +157,11 @@ def run_cells(
             on_cell(cell, result)
         return cell, result, elapsed
 
-    if threads > 1 and len(cells) > 1:
+    if threads > 1 and len(configs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, cells))
+            outcomes = list(pool.map(one, configs))
     else:
-        outcomes = [one(cell) for cell in cells]
+        outcomes = [one(cell) for cell in configs]
 
     rows = [summary_row(cell, result) for cell, result, _ in outcomes]
     return rows, {cell.slug(): elapsed for cell, _, elapsed in outcomes}
@@ -177,12 +176,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     cells = expand_grid(manifest)
     try:  # a bad hyperparameter fails here, before any output is written or cell runs
-        for cell in cells:
-            cell_config(manifest, cell)
+        configs = {cell: cell_config(manifest, cell) for cell in cells}
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     digest = run_hash(manifest, cells)
-    out_dir = Path(args.out) if args.out else manifest.out_dir
+    out_dir = Path(args.out) if args.out else manifest.output["dir"]
     created = not out_dir.exists()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -197,7 +195,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         # Held across the grid so the thread count read here is the one training ran with.
         with _blas.one_blas_thread() as blas_threads:
-            rows, timings = run_cells(manifest, cells, threads=args.threads,
+            rows, timings = run_cells(manifest, configs, threads=args.threads,
                                       on_cell=save_round_log)
     except BaseException:
         if created and not any(out_dir.iterdir()):  # leave no empty directory behind
@@ -296,15 +294,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def _apply_overrides(manifest: RunManifest, args: argparse.Namespace) -> None:
     for axis, parse in GRID_AXES.items():
         if args.grid:
-            setattr(manifest, f"grid_{axis}", list(GRID_PRESETS[args.grid][axis]))
+            manifest.grid[axis] = list(GRID_PRESETS[args.grid][axis])
         if getattr(args, axis) is not None:
             try:
-                setattr(manifest, f"grid_{axis}", parse(getattr(args, axis)))
+                manifest.grid[axis] = parse(getattr(args, axis))
             except ValueError as exc:
                 raise ConfigError(f"--{axis}: {exc}") from None
     for name in SETTINGS:
         if getattr(args, name, None) is not None:
-            setattr(manifest, name, getattr(args, name))
+            manifest.settings[name] = getattr(args, name)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,8 +20,8 @@ import configparser
 import logging
 import os
 import threading
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .aggregation import AggregationStrategy
@@ -56,9 +56,9 @@ def _axis(item: Callable[[str], object]) -> Callable[[str], list]:
     return parse
 
 
-# The grid's axes in GridCell field order: each name is a [grid] key, the
-# destination of its `fedsim run` flag and, prefixed with grid_, a
-# RunManifest field; the value parses its text.
+# The grid's axes in GridCell field order: each name is a [grid] key, a key
+# of RunManifest.grid and the destination of its `fedsim run` flag; the value
+# parses its text.
 GRID_AXES: dict[str, Callable[[str], list]] = {
     "datasets": _axis(str),
     "clients": _axis(_integer),
@@ -71,9 +71,10 @@ GRID_PRESETS = {
                  "strategies": tuple(AggregationStrategy)},
 }
 
-# The run settings: each name is a RunManifest field, a [defaults] key, the
-# destination of its `fedsim run` flag (where it has one) and a key of the run
-# hash; the value parses its manifest text.
+# The run settings: each name is a field of ExperimentConfig or TrainConfig
+# (which holds its default), a [defaults] key, a key of RunManifest.settings,
+# the destination of its `fedsim run` flag (where it has one) and a key of the
+# run hash; the value parses its manifest text.
 SETTINGS: dict[str, Callable[[str], object]] = {
     "alpha": float,
     "learning_rate": float,
@@ -100,23 +101,16 @@ class DatasetEntry:
 
 @dataclass
 class RunManifest:
-    """Everything the runner needs: datasets, grid and hyperparameter defaults."""
+    """Everything the runner needs, one dict per manifest section ([defaults] is settings)."""
 
     datasets: dict[str, DatasetEntry] = field(default_factory=dict)
-    grid_datasets: list[str] = field(default_factory=lambda: ["synth-small"])
-    grid_clients: list[int] = field(default_factory=lambda: [5])
-    grid_rounds: list[int] = field(default_factory=lambda: [10])
-    grid_strategies: list[AggregationStrategy] = field(default_factory=lambda: list(AggregationStrategy))
-    alpha: float = ExperimentConfig.alpha
-    learning_rate: float = TrainConfig.learning_rate
-    batch_size: int = TrainConfig.batch_size
-    local_epochs: int = TrainConfig.local_epochs
-    repeats: int = ExperimentConfig.repeats
-    master_seed: int = ExperimentConfig.master_seed
-    holdout_fraction: float = ExperimentConfig.holdout_fraction
-    local_test_fraction: float = ExperimentConfig.local_test_fraction
-    hidden_dims: Sequence[int] = ExperimentConfig.hidden_dims
-    out_dir: Path = Path("results")
+    settings: dict[str, object] = field(default_factory=lambda: {
+        f.name: f.default for cls in (ExperimentConfig, TrainConfig) for f in fields(cls)
+        if f.name in SETTINGS})
+    grid: dict[str, list] = field(default_factory=lambda: {
+        "datasets": ["synth-small"], "clients": [5], "rounds": [10],
+        "strategies": list(AggregationStrategy)})
+    output: dict[str, Path] = field(default_factory=lambda: {"dir": Path("results")})
     base_dir: Path = Path(".")
 
     def __post_init__(self) -> None:
@@ -152,8 +146,7 @@ class RunManifest:
                 except ValueError as exc:
                     raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
             if kind != "dataset.*":
-                for attr, value in values.items():
-                    setattr(m, attr, value)
+                {"defaults": m.settings, "grid": m.grid, "output": m.output}[kind].update(values)
                 continue
             name = section.split(".", 1)[1].strip().lower()
             if not name:
@@ -169,7 +162,7 @@ class RunManifest:
 
     def validate_grid_datasets(self) -> None:
         """Fail early (with the entry name) if a grid dataset cannot be resolved."""
-        for name in self.grid_datasets:
+        for name in self.grid["datasets"]:
             self._locate(name)
 
     def resolve_dataset(self, name: str) -> Dataset:
@@ -250,6 +243,8 @@ def _parse_label_map(raw: str) -> dict[str, int] | None:
         if ":" not in part:
             raise ValueError(f"label mapping entry {part!r} is not 'text:0|1'")
         label, _, value = (piece.strip() for piece in part.partition(":"))
+        if not label:  # load_csv drops a row whose label cell is empty
+            raise ValueError(f"label mapping entry {part!r} has no label")
         if value not in ("0", "1"):
             raise ValueError(f"label mapping entry {part!r} maps to {value!r}, not 0 or 1")
         if label.lower() in map(str.lower, mapping):  # load_csv matches labels case-insensitively
@@ -258,13 +253,13 @@ def _parse_label_map(raw: str) -> dict[str, int] | None:
     return mapping or None
 
 
-# Every manifest key by section kind: the RunManifest (or, under dataset.*,
-# DatasetEntry) field it sets and the parser of its text.
+# Every manifest key by section kind: the key of its RunManifest section dict
+# (or, under dataset.*, the DatasetEntry field) it sets and the parser of its text.
 _MANIFEST_KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
     "defaults": {**{name: (name, parse) for name, parse in SETTINGS.items()},
                  **{alias: (name, SETTINGS[name]) for alias, name in _ALIASES.items()}},
-    "grid": {axis: (f"grid_{axis}", parse) for axis, parse in GRID_AXES.items()},
-    "output": {"dir": ("out_dir", _directory)},
+    "grid": {axis: (axis, parse) for axis, parse in GRID_AXES.items()},
+    "output": {"dir": ("dir", _directory)},
     "dataset.*": {"path": ("path", str), "label_column": ("label_column", str),
                   "labels": ("label_map", _parse_label_map), "scale": ("scale", _boolean)},
 }

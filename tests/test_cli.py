@@ -12,12 +12,15 @@ import pytest
 
 from fedsim import _blas, cli
 from fedsim import manifest as manifest_module
+from fedsim.aggregation import AggregationStrategy
 from fedsim.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
     SUMMARY_FIELDS,
+    GridCell,
     build_parser,
+    cell_config,
     compare_rows,
     expand_grid,
     format_summary_table,
@@ -26,7 +29,8 @@ from fedsim.cli import (
     run_hash,
     _apply_overrides,
 )
-from fedsim.manifest import RunManifest
+from fedsim.federation import ExperimentConfig
+from fedsim.manifest import SETTINGS, RunManifest
 
 
 SMALL_MANIFEST = """
@@ -75,7 +79,7 @@ class TestGridExpansion:
         _apply_overrides(manifest, args)
         cells = expand_grid(manifest)
         assert {(c.clients, c.rounds) for c in cells} == {(5, 20), (10, 20)}
-        assert manifest.master_seed == 123
+        assert manifest.settings["master_seed"] == 123
 
     def test_bad_clients_value_is_config_error(self, tmp_path):
         from fedsim.manifest import ConfigError
@@ -87,7 +91,8 @@ class TestGridExpansion:
         m = RunManifest()
         cells = expand_grid(m)
         assert run_hash(m, cells) == run_hash(m, cells)
-        m2 = RunManifest(master_seed=43)
+        m2 = RunManifest()
+        m2.settings["master_seed"] = 43
         assert run_hash(m, cells) != run_hash(m2, expand_grid(m2))
 
     def test_run_hash_keeps_its_values(self):
@@ -107,6 +112,57 @@ class TestGridExpansion:
         # an entry outside the grid leaves the digest alone
         m = RunManifest.load(write(tmp_path, entry.format("true")))
         assert run_hash(m, expand_grid(m)) == "1aacefb9be"
+
+
+# A value other than the default of each setting, as [defaults] text, and its
+# `fedsim run` flag (None where it has none).
+NON_DEFAULT_SETTINGS = {
+    "alpha": ("0.35", "--alpha"),
+    "learning_rate": ("0.05", "--lr"),
+    "batch_size": ("7", "--batch-size"),
+    "local_epochs": ("2", "--local-epochs"),
+    "repeats": ("3", "--repeats"),
+    "master_seed": ("9", "--seed"),
+    "holdout_fraction": ("0.3", None),
+    "local_test_fraction": ("0.25", None),
+    "hidden_dims": ("4, 2", None),
+}
+
+
+class TestCellConfig:
+    CELL = GridCell("synth-small", 3, 2, AggregationStrategy.FEDAVG)
+
+    @staticmethod
+    def setting(cfg, name):
+        return getattr(cfg.train if hasattr(cfg.train, name) else cfg, name)
+
+    def test_defaults_are_the_library_defaults(self):
+        cell = self.CELL
+        assert cell_config(RunManifest(), cell) == ExperimentConfig(
+            cell.dataset, cell.clients, cell.rounds, cell.strategy)
+
+    @pytest.mark.parametrize("name", list(SETTINGS))
+    def test_every_setting_reaches_the_config(self, tmp_path, name):
+        text, flag = NON_DEFAULT_SETTINGS[name]
+        value = SETTINGS[name](text)
+        assert self.setting(cell_config(RunManifest(), self.CELL), name) != value
+        m = RunManifest.load(write(tmp_path, f"[defaults]\n{name} = {text}\n"))
+        assert self.setting(cell_config(m, self.CELL), name) == value
+        if flag is None:
+            assert not hasattr(parse_run([]), name)
+            return
+        m = RunManifest()
+        _apply_overrides(m, parse_run([flag, text]))
+        assert self.setting(cell_config(m, self.CELL), name) == value
+
+    def test_each_cell_config_is_built_once(self, tmp_path, monkeypatch):
+        real, calls = cli.cell_config, []
+        monkeypatch.setattr(cli, "cell_config",
+                            lambda manifest, cell: calls.append(cell) or real(manifest, cell))
+        code = main(["run", "--datasets", "synth-small", "--clients", "3,4", "--rounds", "1",
+                     "--repeats", "1", "--out", str(tmp_path / "o")])
+        assert code == EXIT_OK
+        assert len(calls) == len(set(calls)) == 4
 
 
 class TestRunCommand:
@@ -260,6 +316,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("entry, named", [
         ("scale = maybe", "[dataset.toy] scale"),
         ("labels = B:0, S:2", "'S:2'"),
+        ("labels = :1, B:0, S:1", "':1' has no label"),
     ])
     def test_bad_dataset_entry_is_exit_two_before_any_output(self, tmp_path, capsys,
                                                              entry, named):

@@ -74,6 +74,18 @@ class TestLoadCsv:
         assert len(ds) == 2
         assert ds.n_dropped == 1
 
+    def test_an_empty_label_in_the_map_is_an_error(self, tmp_path):
+        p = write_csv(tmp_path / "toy.csv", "f0,class\n1,B\n2,\n3,S\n")
+        with pytest.raises(DatasetError, match="empty label"):
+            load_csv(p, "class", {"": 1, "B": 0, "S": 1})
+
+    # one body per reader: bytes, numpy's C reader, the row rules
+    @pytest.mark.parametrize("body", ["1,B\n2,S\n3,B\n", "10,B\n20,S\n30,B\n",
+                                      '1,"B"\n2,S\n3,B\n'])
+    def test_map_keys_match_stripped(self, tmp_path, body):
+        p = write_csv(tmp_path / "toy.csv", "f0,class\n" + body)
+        assert load_csv(p, "class", {" B": 0, "S": 1}).labels.tolist() == [0, 1, 0]
+
     def test_unknown_label_is_error_with_line(self, tmp_path):
         p = write_csv(tmp_path / "toy.csv", "f0,class\n1,B\n2,weird\n")
         with pytest.raises(DatasetError, match="toy.csv:3.*'weird'"):

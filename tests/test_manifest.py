@@ -3,17 +3,15 @@ import re
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedsim import manifest as manifest_module
 from fedsim.aggregation import AggregationStrategy
-from fedsim.federation import ExperimentConfig
 from fedsim.cli import GridCell, expand_grid
-from fedsim.manifest import GRID_AXES, SETTINGS, ConfigError, RunManifest
-from fedsim.nn import TrainConfig
+from fedsim.manifest import GRID_AXES, ConfigError, RunManifest
 
 
 FULL_MANIFEST = """
@@ -59,45 +57,32 @@ def write_toy_csv(path):
 class TestLoad:
     def test_full_manifest_round_trip(self, tmp_path):
         m = RunManifest.load(write_manifest(tmp_path, FULL_MANIFEST))
-        assert m.alpha == 0.3
-        assert m.learning_rate == 0.02
-        assert m.batch_size == 16
-        assert m.local_epochs == 3
-        assert m.repeats == 2
-        assert m.master_seed == 99
-        assert m.holdout_fraction == 0.25
-        assert m.local_test_fraction == 0.15
-        assert list(m.hidden_dims) == [64, 32]
-        assert m.grid_datasets == ["synth-small"]
-        assert m.grid_clients == [5, 10]
-        assert m.grid_rounds == [10]
-        assert m.grid_strategies == [AggregationStrategy.FEDAVG,
-                                     AggregationStrategy.DW_FEDAVG]
-        assert str(m.out_dir) == "out"
+        assert m.settings == {"alpha": 0.3, "learning_rate": 0.02, "batch_size": 16,
+                              "local_epochs": 3, "repeats": 2, "master_seed": 99,
+                              "holdout_fraction": 0.25, "local_test_fraction": 0.15,
+                              "hidden_dims": [64, 32]}
+        assert m.grid == {"datasets": ["synth-small"], "clients": [5, 10], "rounds": [10],
+                          "strategies": [AggregationStrategy.FEDAVG,
+                                         AggregationStrategy.DW_FEDAVG]}
+        assert m.output == {"dir": Path("out")}
         assert "toy" in m.datasets
         assert m.datasets["toy"].label_map == {"B": 0, "S": 1}
         assert m.datasets["toy"].scale is True
 
     def test_defaults_without_file_sections(self, tmp_path):
         m = RunManifest.load(write_manifest(tmp_path, "[grid]\ndatasets = synth-small\n"))
-        assert m.alpha == 0.2
-        assert m.learning_rate == 0.01
-        assert m.batch_size == 32
-        assert m.local_epochs == 5
-        assert m.master_seed == 42
-
-    def test_settings_are_fields_with_the_library_defaults(self):
-        library = {f.name: f.default for cls in (ExperimentConfig, TrainConfig) for f in fields(cls)}
-        manifest_defaults = {f.name: f.default for f in fields(RunManifest)}
-        for name in SETTINGS:
-            assert manifest_defaults[name] == library[name], name
+        assert m.settings["alpha"] == 0.2
+        assert m.settings["learning_rate"] == 0.01
+        assert m.settings["batch_size"] == 32
+        assert m.settings["local_epochs"] == 5
+        assert m.settings["master_seed"] == 42
 
     def test_aliases_apply_and_the_canonical_key_wins(self, tmp_path):
         m = RunManifest.load(write_manifest(tmp_path, "[defaults]\nlr = 0.05\nseed = 7\n"))
-        assert (m.learning_rate, m.master_seed) == (0.05, 7)
+        assert (m.settings["learning_rate"], m.settings["master_seed"]) == (0.05, 7)
         text = "[defaults]\nlearning_rate = 0.02\nlr = 0.05\nseed = 7\nmaster_seed = 9\n"
         m = RunManifest.load(write_manifest(tmp_path, text))
-        assert (m.learning_rate, m.master_seed) == (0.02, 9)
+        assert (m.settings["learning_rate"], m.settings["master_seed"]) == (0.02, 9)
 
     @pytest.mark.parametrize("text, named", [
         ("[defaults]\nlearning-rate = 50\n", "'learning-rate' in [defaults]"),
@@ -143,7 +128,8 @@ class TestLoad:
 
     def test_grid_axes_are_in_grid_cell_field_order(self):
         fedavg = AggregationStrategy.FEDAVG
-        m = RunManifest(grid_clients=[3], grid_rounds=[7], grid_strategies=[fedavg])
+        m = RunManifest()
+        m.grid.update(clients=[3], rounds=[7], strategies=[fedavg])
         assert expand_grid(m) == [GridCell(dataset="synth-small", clients=3, rounds=7,
                                            strategy=fedavg)]
 
@@ -308,7 +294,7 @@ class TestResolve:
 
     def test_validate_grid_checks_each_name(self, tmp_path):
         m = RunManifest.load(write_manifest(tmp_path, FULL_MANIFEST))
-        m.grid_datasets = ["toy"]
+        m.grid["datasets"] = ["toy"]
         with pytest.raises(ConfigError, match="toy"):
             m.validate_grid_datasets()
         write_toy_csv(tmp_path / "toy.csv")
