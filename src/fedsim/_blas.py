@@ -1,9 +1,10 @@
 """Pin numpy's OpenBLAS to one thread while experiments train.
 
 The networks here train on 32-row batches, where a second BLAS thread costs
-more in hand-offs than it saves, and cells running on ``fedsim run --threads
-N`` would each start BLAS threads of their own on top. So every experiment
-runs its BLAS calls on one thread and parallelism comes from the cells alone.
+more in hand-offs than it saves, and every thread that trains clients (a
+repeat's client groups, or the cells of ``fedsim run --threads N``) would
+start BLAS threads of its own on top. So every experiment runs its BLAS calls
+on one thread, and parallelism comes from fedsim's own threads alone.
 
 The thread count of OpenBLAS is process-wide, so the pin is one counted
 scope: the first experiment to enter saves the count and sets 1, the last to

@@ -144,12 +144,15 @@ def run_cells(
 ) -> tuple[list[dict[str, str]], dict[str, float]]:
     """Run each cell's config on its dataset; returns (summary rows, wall times by slug).
 
-    ``on_cell(cell, result)`` is called as each cell finishes, on the thread that ran it.
+    Up to ``threads`` cells run at once, each training on one thread; a lone
+    cell, or cells run one at a time, train on ``threads`` threads each.
+    ``on_cell(cell, result)`` is called as each cell finishes, on the thread
+    that ran it.
     """
-    def one(cell: GridCell) -> tuple[GridCell, ExperimentResult, float]:
+    def one(cell: GridCell, cell_threads: int) -> tuple[GridCell, ExperimentResult, float]:
         dataset = manifest.resolve_dataset(cell.dataset)
         start = time.perf_counter()
-        result = run_experiment(configs[cell], dataset)
+        result = run_experiment(configs[cell], dataset, threads=cell_threads)
         elapsed = time.perf_counter() - start
         log.info("done %-40s %6.1fs  acc=%.4f", cell.slug(), elapsed,
                  result.summary()["accuracy"][0])
@@ -159,9 +162,9 @@ def run_cells(
 
     if threads > 1 and len(configs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, configs))
+            outcomes = list(pool.map(one, configs, [1] * len(configs)))
     else:
-        outcomes = [one(cell) for cell in configs]
+        outcomes = [one(cell, threads) for cell in configs]
 
     rows = [summary_row(cell, result) for cell, result, _ in outcomes]
     return rows, {cell.slug(): elapsed for cell, _, elapsed in outcomes}
@@ -333,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="preset grid: tables23 = 4 datasets x {5,10,15} clients "
                           "x {10,20} rounds x both strategies")
     run.add_argument("--threads", type=int, default=1,
-                     help="run up to N grid cells concurrently")
+                     help="run up to N grid cells concurrently; a lone cell trains "
+                          "its clients on N threads")
     run.set_defaults(func=cmd_run)
 
     compare = sub.add_parser("compare", help="diff two summary CSVs (B minus A, in points)")

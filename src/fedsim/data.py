@@ -107,11 +107,12 @@ def load_csv(path, label_column: str, label_mapping: dict[str, int] | None = Non
     """Load a header-ed UTF-8 CSV feature table (with or without a BOM) into a Dataset.
 
     ``label_mapping`` translates textual classes to {0, 1}, its keys and the
-    label cells compared stripped and case-insensitively (an empty key is an
-    error); when omitted the default map (B/S, benign/malware/goodware, 0/1)
-    applies. Rows containing cells that do not parse as finite numbers are
-    dropped and counted. A label value missing from the mapping is an error;
-    an empty label cell drops the row like any other missing value.
+    label cells compared stripped and case-insensitively (an empty key, or two
+    keys equal when so compared, is an error); when omitted the default map
+    (B/S, benign/malware/goodware, 0/1) applies. Rows containing cells that
+    do not parse as finite numbers are dropped and counted. A label value
+    missing from the mapping is an error; an empty label cell drops the row
+    like any other missing value.
 
     A body without a ``"`` is read in blocks of lines (see ``_read_lines``): a
     block of one-character cells, every feature a digit, straight from its
@@ -123,7 +124,13 @@ def load_csv(path, label_column: str, label_mapping: dict[str, int] | None = Non
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"dataset file not found: {path}")
-    mapping = {k.strip().lower(): v for k, v in (label_mapping or DEFAULT_LABEL_MAP).items()}
+    label_mapping = label_mapping or DEFAULT_LABEL_MAP
+    keys: dict[str, str] = {}  # normalised key -> the key as given
+    for key in label_mapping:
+        first = keys.setdefault(key.strip().lower(), key)
+        if first != key:
+            raise DatasetError(f"{path}: label map keys {first!r} and {key!r} name one label")
+    mapping = {norm: label_mapping[key] for norm, key in keys.items()}
     if "" in mapping:  # an empty label cell drops its row; it cannot also name a class
         raise DatasetError(f"{path}: the label map holds an empty label")
     name = name or path.stem

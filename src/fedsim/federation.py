@@ -10,14 +10,17 @@ All randomness derives from (master_seed + repeat index); each client gets an
 independent per-round stream.
 
 The clients of a repeat train as one stack: their models are the rows of one
-(K, P) parameter array, and ``train_clients`` runs every SGD step of every
-client as one ``nn.sgd_epochs`` call. Each client's arithmetic is the one it
-would do alone, so results do not depend on it.
+(K, P) parameter array. ``train_clients`` splits that stack into contiguous
+groups of clients, one per thread, and trains each group's SGD steps as one
+``nn.sgd_epochs`` call. Each client's arithmetic is the one it would do alone,
+so results depend neither on the stack nor on the thread count.
 """
 from __future__ import annotations
 
+import os
 import time
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,17 +105,33 @@ def _train_stack(stack: np.ndarray, clients, cfg: TrainConfig, rngs) -> list[flo
                           == data.labels[c.shard.local_test])) for c in clients]
 
 
-def train_clients(clients, cfg: TrainConfig, rngs) -> tuple[list[np.ndarray], np.ndarray]:
+def train_clients(clients, cfg: TrainConfig, rngs,
+                  threads: int = 1) -> tuple[list[np.ndarray], np.ndarray]:
     """Every client's local update of one round: (parameter vectors, local accuracies) in client order.
 
-    A ``ClientStack`` trains as one stack; any other list of clients trains
+    A ``ClientStack`` is split into ``min(threads, K)`` contiguous groups of
+    clients; the calling thread trains the first and one helper thread each
+    of the others, every group as one stack. Any other list of clients trains
     client by client through ``local_update``. The vectors are copies, not
-    views of the client models.
+    views of the client models. A divergence names the lowest diverged client
+    id, whatever the split.
     """
     if not isinstance(clients, ClientStack):
         results = [c.local_update(cfg, rng) for c, rng in zip(clients, rngs)]
         return [vec for vec, _ in results], np.array([acc for _, acc in results])
-    accs = _train_stack(clients.params, clients, cfg, rngs)
+
+    def train(group: np.ndarray) -> list[float]:
+        lo, hi = group[0], group[-1] + 1
+        return _train_stack(clients.params[lo:hi], clients[lo:hi], cfg, rngs[lo:hi])
+
+    first, *rest = np.array_split(np.arange(len(clients)), min(threads, len(clients)))
+    # a pool starts threads only as work is submitted; leaving the block joins
+    # every helper, also when a group raised
+    with ThreadPoolExecutor(max(len(rest), 1)) as pool:
+        helpers = [pool.submit(train, group) for group in rest]
+        accs = train(first)
+        for helper in helpers:  # in client order, so the lowest diverged id is raised
+            accs += helper.result()
     return list(clients.params.copy()), np.array(accs)
 
 
@@ -201,20 +220,22 @@ def run_round(
     holdout: Dataset,
     run_seed: int,
     round_num: int,
+    threads: int = 1,
 ) -> tuple[np.ndarray, PriorityIndex, RoundReport]:
     """One full federated round.
 
     Order of events: broadcast the global parameters, train every client
-    locally, collect (parameters, local accuracy) pairs, update the priority
-    index (DW strategy only), aggregate, then evaluate the new global model on
-    the holdout. ``round_num`` is 1-based.
+    locally (on up to ``threads`` threads), collect (parameters, local
+    accuracy) pairs, update the priority index (DW strategy only), aggregate,
+    then evaluate the new global model on the holdout. ``round_num`` is 1-based.
     """
     t0 = time.perf_counter()
     for client in clients:
         client.receive_global(server_params)
 
     local_params, local_acc = train_clients(
-        clients, cfg.train, [_client_rng(run_seed, round_num, c.client_id) for c in clients])
+        clients, cfg.train, [_client_rng(run_seed, round_num, c.client_id) for c in clients],
+        threads)
 
     if cfg.strategy is AggregationStrategy.DW_FEDAVG:
         idx = update_priority_index(idx, local_acc)
@@ -254,14 +275,22 @@ def setup_repeat(
     return holdout, clients, global_net.to_vector(), PriorityIndex.uniform(cfg.n_clients, cfg.alpha)
 
 
-def run_repeat(cfg: ExperimentConfig, dataset: Dataset, r: int) -> RepeatResult:
+def run_repeat(cfg: ExperimentConfig, dataset: Dataset, r: int,
+               threads: int | None = None) -> RepeatResult:
     """Run repeat ``r`` of an experiment on an already-loaded dataset.
 
     Seed ``master_seed + r`` drives the holdout split, the client partition,
-    the common initial model and every client's training streams. OpenBLAS
-    runs on one thread for the length of the call (see ``fedsim._blas``);
-    the caller's thread count is restored on return.
+    the common initial model and every client's training streams. The clients
+    of a round train on up to ``threads`` threads, by default one per CPU this
+    process may run on; the results do not depend on it. OpenBLAS runs on one
+    thread for the length of the call (see ``fedsim._blas``); the caller's
+    thread count is restored on return.
     """
+    if threads is None:  # the CPUs this process may run on
+        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     run_seed = cfg.master_seed + r
     reports: list[RoundReport] = []
     with one_blas_thread():
@@ -269,12 +298,16 @@ def run_repeat(cfg: ExperimentConfig, dataset: Dataset, r: int) -> RepeatResult:
         for round_num in range(1, cfg.n_rounds + 1):
             params, idx, report = run_round(
                 params, clients, idx, cfg,
-                holdout=holdout, run_seed=run_seed, round_num=round_num,
+                holdout=holdout, run_seed=run_seed, round_num=round_num, threads=threads,
             )
             reports.append(report)
     return RepeatResult(repeat=r, run_seed=run_seed, rounds=reports)
 
 
-def run_experiment(cfg: ExperimentConfig, dataset: Dataset) -> ExperimentResult:
-    """Execute all repeats of an experiment on an already-loaded dataset, in repeat order."""
-    return ExperimentResult([run_repeat(cfg, dataset, r) for r in range(cfg.repeats)])
+def run_experiment(cfg: ExperimentConfig, dataset: Dataset,
+                   threads: int | None = None) -> ExperimentResult:
+    """Execute all repeats of an experiment on an already-loaded dataset, in repeat order.
+
+    ``threads`` is as for ``run_repeat``.
+    """
+    return ExperimentResult([run_repeat(cfg, dataset, r, threads) for r in range(cfg.repeats)])

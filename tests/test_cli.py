@@ -214,6 +214,35 @@ class TestRunCommand:
         assert next(seq_dir.glob("summary_*.csv")).read_bytes() == \
             next(par_dir.glob("summary_*.csv")).read_bytes()
 
+    def test_one_cell_gives_identical_outputs_on_one_and_two_threads(self, tmp_path):
+        argv = ["run", "--dataset", "synth-small", "--clients", "4", "--rounds", "2",
+                "--repeats", "2", "--strategy", "dw-fedavg"]
+        outs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert main([*argv, "--threads", threads, "--out", str(out)]) == EXIT_OK
+            outs[threads] = {p.name: p.read_bytes() for p in out.iterdir()
+                             if not p.name.startswith("meta_")}
+        assert sorted(n.split("_")[0] for n in outs["1"]) == ["rounds", "summary"]
+        assert outs["1"] == outs["2"]
+
+    @pytest.mark.parametrize("clients, threads, trained_on", [
+        ("3", "2", [2]), ("3", "1", [1]), ("2,3", "2", [1, 1]), ("2,3", "1", [1, 1]),
+    ])
+    def test_a_lone_cell_trains_on_the_threads_a_pooled_cell_on_one(
+            self, tmp_path, monkeypatch, clients, threads, trained_on):
+        real, seen = cli.run_experiment, []
+
+        def spy(cfg, dataset, **kwargs):
+            seen.append(kwargs["threads"])
+            return real(cfg, dataset, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", spy)
+        assert main(["run", "--dataset", "synth-small", "--clients", clients, "--rounds", "1",
+                     "--repeats", "1", "--strategy", "fedavg", "--threads", threads,
+                     "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert seen == trained_on
+
     def test_missing_manifest_is_exit_two(self, tmp_path, capsys):
         code = main(["run", "--manifest", str(tmp_path / "missing.ini")])
         assert code == EXIT_CONFIG
@@ -280,11 +309,11 @@ class TestRunCommand:
         assert main([*argv, "--out", str(clean)]) == EXIT_OK
         real, calls = cli.run_experiment, []
 
-        def fail_second_cell(cfg, dataset):
+        def fail_second_cell(cfg, dataset, *args, **kwargs):
             calls.append(cfg.n_clients)
             if len(calls) == 2:
                 raise RuntimeError("second cell failed")
-            return real(cfg, dataset)
+            return real(cfg, dataset, *args, **kwargs)
 
         monkeypatch.setattr(cli, "run_experiment", fail_second_cell)
         out = tmp_path / "o"
@@ -339,7 +368,8 @@ class TestRunCommand:
                                    f"[dataset.{name}]\npath = toy.csv\n")
         real, calls = cli.run_experiment, []
         monkeypatch.setattr(cli, "run_experiment",
-                            lambda cfg, dataset: calls.append(cfg) or real(cfg, dataset))
+                            lambda cfg, dataset, *args, **kwargs:
+                            calls.append(cfg) or real(cfg, dataset, *args, **kwargs))
         out = tmp_path / "o"
         code = main(["run", "--manifest", str(manifest), "--rounds", "1", "--repeats", "1",
                      "--out", str(out)])

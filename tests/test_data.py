@@ -79,6 +79,11 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="empty label"):
             load_csv(p, "class", {"": 1, "B": 0, "S": 1})
 
+    def test_map_keys_that_are_one_label_are_an_error(self, tmp_path):
+        p = write_csv(tmp_path / "toy.csv", "f0,class\n1,B\n2,S\n3,b\n")
+        with pytest.raises(DatasetError, match="label map keys 'B' and ' b' name one label"):
+            load_csv(p, "class", {"B": 0, " b": 1, "S": 1})
+
     # one body per reader: bytes, numpy's C reader, the row rules
     @pytest.mark.parametrize("body", ["1,B\n2,S\n3,B\n", "10,B\n20,S\n30,B\n",
                                       '1,"B"\n2,S\n3,B\n'])

@@ -1,9 +1,12 @@
 """Federated loop tests: round mechanics, determinism and seed derivation."""
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from fedsim import federation
 from fedsim.aggregation import AggregationStrategy, PriorityIndex, dw_fedavg, update_priority_index
 from fedsim.data import Dataset
 from fedsim.federation import (
@@ -220,6 +223,60 @@ class TestRunExperiment:
     def test_repeat_seeds_are_master_seed_plus_index(self, small_dataset):
         result = run_experiment(small_config(repeats=3, master_seed=20), small_dataset)
         assert [r.run_seed for r in result.repeats] == [20, 21, 22]
+
+
+class TestThreads:
+    """A round's client stack split across threads: the same bits, and errors as unsplit."""
+
+    def test_results_do_not_depend_on_the_thread_count(self, small_dataset):
+        cfg = small_config(n_clients=5, n_rounds=2, repeats=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads trade the interpreter lock often
+        try:
+            runs = {t: run_experiment(cfg, small_dataset, threads=t)
+                    for t in (1, 2, cfg.n_clients + 1)}
+        finally:
+            sys.setswitchinterval(interval)
+        for result in runs.values():
+            for repeat, ref in zip(result.repeats, runs[1].repeats, strict=True):
+                assert (repeat.repeat, repeat.run_seed) == (ref.repeat, ref.run_seed)
+                for a, b in zip(repeat.rounds, ref.rounds, strict=True):
+                    assert a.global_metrics == b.global_metrics
+                    assert a.client_local_acc.tobytes() == b.client_local_acc.tobytes()
+                    assert a.betas_after_update.tobytes() == b.betas_after_update.tobytes()
+
+    def test_two_threads_train_the_clients_on_two_threads(self, small_dataset, monkeypatch):
+        seen, real = set(), federation._train_stack
+
+        def spy(*args, **kwargs):
+            seen.add(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "_train_stack", spy)
+        run_experiment(small_config(n_clients=4), small_dataset, threads=2)
+        assert len(seen) >= 2
+
+    def test_threads_below_one_is_an_error(self, small_dataset):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            run_experiment(small_config(), small_dataset, threads=0)
+
+    # numpy warns of the overflow this case provokes on purpose
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("threads", [1, 2, 3, 5, 6])
+    def test_divergence_names_the_lowest_diverged_client(self, small_dataset, threads):
+        # clients 3 and 4 of 5 overflow: at 2 threads both sit in the helper's
+        # group, at 3 and 5 threads each in a group of its own
+        cfg = small_config(n_clients=5)
+        blown = Dataset(small_dataset.name, small_dataset.features.copy(), small_dataset.labels)
+        _, clients, _, _ = setup_repeat(cfg, blown, run_seed=5)
+        for client in clients[3:]:
+            blown.features[client.shard.train] = 1e300
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match=r"^client 3: local training diverged"):
+            train_clients(clients, cfg.train, [_client_rng(5, 1, c.client_id) for c in clients],
+                          threads)
+        assert threading.active_count() == before
+        assert all(np.isfinite(c.model.params).all() for c in clients[:3])
 
 
 @pytest.mark.slow
