@@ -96,7 +96,7 @@ def _train_stack(stack: np.ndarray, clients, cfg: TrainConfig, rngs) -> list[flo
     grad = np.empty_like(stack)
     for _ in range(cfg.local_epochs):
         sgd_epochs(stack, clients[0].model.layer_dims, data.features, data.labels,
-                   [c.shard.train for c in clients], cfg, rngs, grad)
+                   [c.shard.train for c in clients], cfg, rngs, grad, loss=False)
     diverged = [c.client_id for c, row in zip(clients, stack) if not np.isfinite(row).all()]
     if diverged:
         raise FloatingPointError(f"client {min(diverged)}: local training diverged to non-finite "

@@ -18,6 +18,11 @@ a (G, P) parameter array, with one batch each: every GEMM is one 3-D
 ``np.matmul`` and every elementwise step one numpy call across the stack.
 ``sgd_epochs`` trains such a stack in place; ``sgd_epoch`` is the stack of
 one. Each network's arithmetic is the one it would do alone, bit for bit.
+
+While every network still has a whole batch, an ``sgd_epochs`` step gathers
+all batches with one ``take`` and trains the whole stack; only an epoch's
+ragged tail gathers network by network. Layer views are built once per call,
+and the loss is computed only when the caller reads it.
 """
 from __future__ import annotations
 
@@ -187,20 +192,23 @@ def _forward(weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray)
     return acts
 
 
-def _backward(views, X: np.ndarray, y: np.ndarray, grad_views) -> np.ndarray:
+def _backward(views, X: np.ndarray, y: np.ndarray, grad_views, loss: bool = True) -> np.ndarray | None:
     """Mean BCE loss of each network on its batch; writes the gradients through ``grad_views``.
 
     ``views`` and ``grad_views`` are the ``_layer_views`` of a (G, P)
     parameter stack and of a gradient buffer of the same shape; ``X`` is
-    (G, n, d) and ``y`` is (G, n). Returns the G losses.
+    (G, n, d) and ``y`` is (G, n). Returns the G losses, or None without
+    computing them when ``loss`` is false; the gradients are the same.
     """
     weights, _ = views
     n = X.shape[1]
     acts = _forward(*views, X)  # acts[-1] is the output probability
 
-    clipped = np.clip(acts[-1], PROB_CLIP, 1.0 - PROB_CLIP)
     y_col = y[:, :, None]
-    loss = -np.mean(y_col * np.log(clipped) + (1.0 - y_col) * np.log(1.0 - clipped), axis=(1, 2))
+    batch_loss = None
+    if loss:
+        clipped = acts[-1].clip(PROB_CLIP, 1.0 - PROB_CLIP)
+        batch_loss = -(y_col * np.log(clipped) + (1.0 - y_col) * np.log(1.0 - clipped)).mean(axis=(1, 2))
 
     grad_w, grad_b = grad_views
     delta = acts[-1]  # the probability is not read again, so delta takes over its buffer
@@ -208,14 +216,14 @@ def _backward(views, X: np.ndarray, y: np.ndarray, grad_views) -> np.ndarray:
     delta /= n  # d(mean BCE)/d(z_out) for the sigmoid output
     for k in range(len(weights) - 1, -1, -1):
         np.matmul(acts[k].transpose(0, 2, 1), delta, out=grad_w[k])
-        np.sum(delta, axis=1, keepdims=True, out=grad_b[k])
+        delta.sum(axis=1, keepdims=True, out=grad_b[k])
         if k > 0:
             # a ReLU unit passes gradient where its output is positive; the
             # activation is not read again, so the next delta takes over its buffer
             passes = acts[k] > 0.0
             delta = np.matmul(delta, weights[k].transpose(0, 2, 1), out=acts[k])
             np.multiply(delta, passes, out=delta)
-    return loss
+    return batch_loss
 
 
 def loss_and_gradient(net: DenseNetwork, batch, labels) -> tuple[float, np.ndarray]:
@@ -229,43 +237,55 @@ def loss_and_gradient(net: DenseNetwork, batch, labels) -> tuple[float, np.ndarr
 
 
 def sgd_epochs(stack: np.ndarray, layer_dims: list[int], X, y, rows, cfg: TrainConfig, rngs,
-               grad: np.ndarray) -> np.ndarray:
+               grad: np.ndarray, *, loss: bool = True) -> np.ndarray | None:
     """One epoch of mini-batch SGD for each network of a (G, P) stack, updating ``stack`` in place.
 
     Network g trains on the rows ``rows[g]`` of the shared table ``X``, ``y``
     in the shuffle order drawn from ``rngs[g]``, with the arithmetic it would
-    do alone; its final short batch is trained on like any other. At each
-    step each run of adjacent networks whose batches have equal size trains
-    as one stack. ``grad`` is scratch of the stack's shape. Returns each
-    network's mean per-sample loss over the epoch.
+    do alone; its final short batch is trained on like any other. While every
+    network still has a whole batch, each step gathers all G batches with one
+    ``take`` and trains the whole stack. In the ragged tail after that, each
+    network's batch is gathered on its own and each run of adjacent networks
+    whose batches have equal size trains as one stack. ``grad`` is scratch of
+    the stack's shape. Returns each network's mean per-sample loss over the
+    epoch, or None without computing any loss when ``loss`` is false.
     """
     X = _check_batch(X, layer_dims[0])
     y = _check_labels(y, X.shape[0])
     sizes = np.array([r.size for r in rows])
     if not sizes.all():
         raise ValueError("cannot train on an empty set")
-    perms = [r[rng.permutation(r.size)] for rng, r in zip(rngs, rows)]
-    y_perm = np.zeros((len(rows), sizes.max()))
-    for row, perm in enumerate(perms):
-        y_perm[row, : perm.size] = y[perm]
-    batch = np.empty((len(rows), min(cfg.batch_size, sizes.max()), layer_dims[0]))
+    bs = cfg.batch_size
+    order = np.zeros((len(rows), sizes.max()), dtype=np.intp)  # shuffled rows, zero-padded
+    for g, (rng, r) in enumerate(zip(rngs, rows)):
+        order[g, : r.size] = r[rng.permutation(r.size)]
+    y_perm = y.take(order)  # raises on a row out of range, before any training
+    batch = np.empty((len(rows), min(bs, sizes.max()), layer_dims[0]))
+    views, grad_views = _layer_views(stack, layer_dims), _layer_views(grad, layer_dims)
     loss_sum = np.zeros(len(rows))
-    for start in range(0, sizes.max(), cfg.batch_size):
-        batch_sizes = np.clip(sizes - start, 0, cfg.batch_size)
-        for row in np.flatnonzero(batch_sizes):
-            # "wrap" reads the rows y[perm] read, negative ones too; "raise" would buffer out
-            np.take(X, perms[row][start : start + batch_sizes[row]], axis=0,
-                    out=batch[row, : batch_sizes[row]], mode="wrap")
-        edges = [0, *(np.flatnonzero(np.diff(batch_sizes)) + 1), len(rows)]
-        for lo, hi in zip(edges[:-1], edges[1:]):  # runs of rows with equal batch sizes
-            n = int(batch_sizes[lo])
-            if n:
-                loss = _backward(_layer_views(stack[lo:hi], layer_dims), batch[lo:hi, :n],
-                                 y_perm[lo:hi, start : start + n], _layer_views(grad[lo:hi], layer_dims))
-                loss_sum[lo:hi] += loss * n
-                grad[lo:hi] *= cfg.learning_rate
-                stack[lo:hi] -= grad[lo:hi]
-    return loss_sum / sizes
+    whole = sizes.min() // bs * bs  # every network has a whole batch at each step before this
+    for start in range(0, sizes.max(), bs):
+        if start < whole:
+            # "wrap" reads the rows y.take read, negative ones too; "raise" would buffer out
+            X.take(order[:, start : start + bs], axis=0, out=batch, mode="wrap")
+            runs = [(0, len(rows), bs, views, grad_views)]
+        else:  # the ragged tail: a gather per network, a stack per run of equal batch sizes
+            batch_sizes = (sizes - start).clip(0, bs)
+            for row in np.flatnonzero(batch_sizes):
+                X.take(order[row, start : start + batch_sizes[row]], axis=0,
+                       out=batch[row, : batch_sizes[row]], mode="wrap")
+            edges = [0, *(np.flatnonzero(np.diff(batch_sizes)) + 1), len(rows)]
+            runs = [(lo, hi, int(batch_sizes[lo]), _layer_views(stack[lo:hi], layer_dims),
+                     _layer_views(grad[lo:hi], layer_dims))
+                    for lo, hi in zip(edges[:-1], edges[1:]) if batch_sizes[lo]]
+        for lo, hi, n, run_views, run_grad_views in runs:
+            batch_loss = _backward(run_views, batch[lo:hi, :n], y_perm[lo:hi, start : start + n],
+                                   run_grad_views, loss)
+            if loss:
+                loss_sum[lo:hi] += batch_loss * n
+            grad[lo:hi] *= cfg.learning_rate
+            stack[lo:hi] -= grad[lo:hi]
+    return loss_sum / sizes if loss else None
 
 
 def sgd_epoch(net: DenseNetwork, X, y, cfg: TrainConfig, rng: np.random.Generator) -> float:

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from fedsim import nn
 from fedsim.nn import (
     PROB_CLIP,
     DenseNetwork,
@@ -347,6 +348,75 @@ class TestSgd:
             sgd_epochs(net.params[None], net.layer_dims, X, y, [rows], cfg,
                        [np.random.default_rng(1)], np.empty_like(net.params[None]))
         assert nets[0].params.tobytes() == nets[1].params.tobytes()
+
+    @pytest.mark.parametrize("sizes, batch_size", [
+        ((64, 96, 32), 32),  # every set a multiple of the batch: no ragged tail
+        ((70, 64, 100), 32),  # the shortest set ends on a whole batch, the others go on
+        ((5, 9, 7), 16),  # no set fills a batch: every step is in the ragged tail
+    ], ids=["no-tail", "shortest-ends-on-a-batch", "all-tail"])
+    def test_whole_batch_and_tail_steps_train_like_the_networks_alone(self, sizes, batch_size):
+        rng = np.random.default_rng(18)
+        nets = [init_network(5, [6, 4], seed) for seed in range(len(sizes))]
+        X = rng.normal(size=(sum(sizes), 5))
+        y = rng.integers(0, 2, size=sum(sizes))
+        rows = np.split(rng.permutation(sum(sizes)), np.cumsum(sizes)[:-1])
+        cfg = TrainConfig(learning_rate=0.3, batch_size=batch_size)
+        stack = np.array([net.params for net in nets])
+        stack_rngs = [np.random.default_rng(seed) for seed in range(len(sizes))]
+        alone_rngs = [np.random.default_rng(seed) for seed in range(len(sizes))]
+        for _ in range(2):
+            losses = sgd_epochs(stack, nets[0].layer_dims, X, y, rows, cfg, stack_rngs,
+                                np.empty_like(stack))
+            alone = [sgd_epoch(net, X[r], y[r], cfg, rng)
+                     for net, r, rng in zip(nets, rows, alone_rngs)]
+            assert stack.tobytes() == np.array([net.params for net in nets]).tobytes()
+            assert losses.tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize("batch_size", [32, 7])
+    def test_skipping_the_loss_leaves_the_same_stack(self, batch_size):
+        rng = np.random.default_rng(19)
+        X = rng.normal(size=(200, 5))
+        y = rng.integers(0, 2, size=200)
+        rows = np.split(rng.permutation(200), [64, 133])
+        cfg = TrainConfig(learning_rate=0.3, batch_size=batch_size)
+        start = np.array([init_network(5, [6, 4], seed).params for seed in range(3)])
+        stacks = []
+        for loss in (True, False):
+            stack, rngs = start.copy(), [np.random.default_rng(seed) for seed in range(3)]
+            for _ in range(2):
+                out = sgd_epochs(stack, [5, 6, 4, 1], X, y, rows, cfg, rngs,
+                                 np.empty_like(stack), loss=loss)
+                assert (out is None) is (not loss)
+            stacks.append(stack)
+        assert stacks[0].tobytes() == stacks[1].tobytes()
+        assert stacks[0].tobytes() != start.tobytes()
+
+    @pytest.mark.parametrize("n_rows", [32, 256])
+    def test_layer_views_are_built_once_per_call(self, n_rows, monkeypatch):
+        # one view of the stack and one of the gradient, however many steps the epoch has
+        rng = np.random.default_rng(20)
+        X = rng.normal(size=(3 * n_rows, 5))
+        y = rng.integers(0, 2, size=3 * n_rows)
+        stack = np.array([init_network(5, [6, 4], seed).params for seed in range(3)])
+        calls = []
+        build = nn._layer_views
+        monkeypatch.setattr(nn, "_layer_views", lambda *a: calls.append(1) or build(*a))
+        sgd_epochs(stack, [5, 6, 4, 1], X, y, np.split(np.arange(3 * n_rows), 3),
+                   TrainConfig(batch_size=16), [np.random.default_rng(s) for s in range(3)],
+                   np.empty_like(stack))
+        assert len(calls) == 2
+
+    def test_a_row_out_of_range_raises_before_any_training(self):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(40, 5))
+        y = rng.integers(0, 2, size=40)
+        net = init_network(5, [6, 4], 0)
+        before = net.params.copy()
+        with pytest.raises(IndexError):
+            sgd_epochs(net.params[None], net.layer_dims, X, y, [np.arange(20, 41)],
+                       TrainConfig(batch_size=7), [np.random.default_rng(1)],
+                       np.empty_like(net.params[None]))
+        assert net.params.tobytes() == before.tobytes()
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(11)
