@@ -1,10 +1,12 @@
 """Pin numpy's OpenBLAS to one thread while experiments train.
 
-The networks here train on 32-row batches, where a second BLAS thread costs
-more in hand-offs than it saves, and every thread that trains clients (a
-repeat's client groups, or the cells of ``fedsim run --threads N``) would
-start BLAS threads of its own on top. So every experiment runs its BLAS calls
-on one thread, and parallelism comes from fedsim's own threads alone.
+Every thread that trains clients (a repeat's client groups, or the cells of
+``fedsim run --threads N``) would otherwise start BLAS threads of its own, so
+a run would use more CPUs than its ``--threads`` budget and its threads would
+oversubscribe them: on 2 vCPUs, two client-group threads at the paper's shapes
+train a round about twice as slowly with two OpenBLAS threads each. So every
+experiment runs its BLAS calls on one thread, and parallelism comes from
+fedsim's own threads alone.
 
 The thread count of OpenBLAS is process-wide, so the pin is one counted
 scope: the first experiment to enter saves the count and sets 1, the last to

@@ -182,6 +182,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         configs = {cell: cell_config(manifest, cell) for cell in cells}
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # Every grid dataset is loaded here, where a load error exits before any
+    # output; the cells read it from the manifest's cache.
+    for cell, config in configs.items():
+        n_features = manifest.resolve_dataset(cell.dataset).n_features
+        try:
+            config.check_input_width(n_features)
+        except ValueError as exc:
+            raise ConfigError(f"dataset '{cell.dataset}': {exc}") from None
     digest = run_hash(manifest, cells)
     out_dir = Path(args.out) if args.out else manifest.output["dir"]
     created = not out_dir.exists()

@@ -168,11 +168,15 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError(f"hidden_dims must all be >= 1, got {self.hidden_dims}")
-        if _param_count([1, *self.hidden_dims, 1]) > np.iinfo(np.intp).max:
-            raise ValueError(f"hidden_dims {self.hidden_dims} give more parameters than numpy "
-                             "can index, even at input width 1")
+        self.check_input_width(1)
         if isinstance(self.strategy, str):
             self.strategy = AggregationStrategy.parse(self.strategy)
+
+    def check_input_width(self, n_features: int) -> None:
+        """Raise ValueError if the network at this input width has more parameters than fit an intp."""
+        if _param_count([n_features, *self.hidden_dims, 1]) > np.iinfo(np.intp).max:
+            raise ValueError(f"hidden_dims {self.hidden_dims} give more parameters than numpy "
+                             f"can index at input width {n_features}")
 
 
 @dataclass
@@ -242,8 +246,10 @@ def run_round(
         new_params = dw_fedavg(local_params, idx)
     else:
         new_params = fedavg(local_params)
-
-    net = DenseNetwork.from_vector(clients[0].model.layer_dims, new_params)
+    # Free the clients' (K, P) copy before the holdout's activations are
+    # allocated, and score a network over new_params itself, not a copy.
+    del local_params
+    net = DenseNetwork(clients[0].model.layer_dims, new_params)
     metrics = evaluate_scores(net.forward(holdout.features), holdout.labels)
     report = RoundReport(
         round=round_num,

@@ -379,6 +379,23 @@ class TestRunCommand:
         assert calls == []
         assert not out.exists()
 
+    def test_csv_load_error_is_exit_two_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        # the synth-small cells come first in the grid
+        (tmp_path / "toy.csv").write_text("f0,class\n1,B\n0,Q\n", encoding="utf-8")
+        manifest = write(tmp_path, "[grid]\ndatasets = synth-small, toy\n\n"
+                                   "[dataset.toy]\npath = toy.csv\n")
+        real, calls = cli.run_experiment, []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda cfg, dataset, *args, **kwargs:
+                            calls.append(cfg) or real(cfg, dataset, *args, **kwargs))
+        out = tmp_path / "o"
+        code = main(["run", "--manifest", str(manifest), "--clients", "3", "--rounds", "1",
+                     "--repeats", "1", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "toy.csv:3: unknown label value" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_csv_that_is_not_utf8_is_exit_two_before_any_output(self, tmp_path, capsys):
         (tmp_path / "toy.csv").write_bytes(b"f\xe4,class\n1,B\n0,S\n")
         manifest = write(tmp_path, "[grid]\ndatasets = toy\n\n[dataset.toy]\npath = toy.csv\n")
@@ -406,7 +423,10 @@ class TestRunCommand:
         assert err.startswith(f"error: {manifest}: ") and named in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["", ",", "64, x", "99999999999999999999"])
+    # 3000000000000000000 passes ExperimentConfig, which sizes the network at input
+    # width 1, and is too large at synth-small's 30 features
+    @pytest.mark.parametrize("value", ["", ",", "64, x", "99999999999999999999",
+                                       "3000000000000000000"])
     def test_bad_hidden_dims_is_exit_two_before_any_output(self, tmp_path, capsys, value):
         manifest = write(tmp_path, f"[grid]\ndatasets = synth-small\n\n"
                                    f"[defaults]\nhidden_dims = {value}\n")

@@ -2,6 +2,7 @@
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -66,6 +67,11 @@ class TestExperimentConfig:
             with pytest.raises(ValueError, match=field):
                 small_config(**{field: value})
 
+    def test_network_is_sized_at_the_input_width(self):
+        cfg = small_config(hidden_dims=(3_000_000_000_000_000_000,))  # fits at input width 1
+        with pytest.raises(ValueError, match="hidden_dims .* at input width 30"):
+            cfg.check_input_width(30)
+
     def test_strategy_string_is_parsed(self):
         cfg = small_config(strategy="fedavg")
         assert cfg.strategy is AggregationStrategy.FEDAVG
@@ -115,6 +121,30 @@ class TestRunRound:
         trained = clients[0].model.params.copy()
         vecs[0][:] = 0.0
         assert clients[0].model.params.tobytes() == trained.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("strategy", list(AggregationStrategy))
+    def test_client_vectors_are_freed_before_the_holdout_is_scored(
+            self, small_dataset, monkeypatch, strategy, threads):
+        combined, freed_at_scoring = [], []
+
+        def spy_on(real):
+            def combine(models, *args):
+                # the rows are views of one (K, P) copy of the client stack
+                combined.append(weakref.ref(models[0].base))
+                return real(models, *args)
+            return combine
+
+        def evaluate(scores, labels):
+            freed_at_scoring.append(combined[-1]() is None)
+            return real_evaluate(scores, labels)
+
+        for name in ("fedavg", "dw_fedavg"):
+            monkeypatch.setattr(federation, name, spy_on(getattr(federation, name)))
+        real_evaluate = federation.evaluate_scores
+        monkeypatch.setattr(federation, "evaluate_scores", evaluate)
+        run_experiment(small_config(strategy=strategy), small_dataset, threads=threads)
+        assert freed_at_scoring == [True, True]  # one per round
 
     def test_matches_clients_trained_one_by_one(self, small_dataset):
         # 7 clients hold 72-74 training rows, not in client order, so every
