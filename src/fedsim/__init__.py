@@ -25,9 +25,12 @@ from .federation import (
     ClientState,
     ExperimentConfig,
     ExperimentResult,
+    FamilyResult,
     RepeatResult,
     RoundReport,
+    ServerState,
     run_experiment,
+    run_family,
     run_repeat,
     run_round,
     setup_repeat,
@@ -65,9 +68,12 @@ __all__ = [
     "ClientState",
     "ExperimentConfig",
     "ExperimentResult",
+    "FamilyResult",
     "RepeatResult",
     "RoundReport",
+    "ServerState",
     "run_experiment",
+    "run_family",
     "run_repeat",
     "run_round",
     "setup_repeat",

@@ -1,6 +1,6 @@
 """Pin numpy's OpenBLAS to one thread while experiments train.
 
-Every thread that trains clients (a repeat's client groups, or the cells of
+Every thread that trains clients (a repeat's client groups, or the families of
 ``fedsim run --threads N``) would otherwise start BLAS threads of its own, so
 a run would use more CPUs than its ``--threads`` budget and its threads would
 oversubscribe them: on 2 vCPUs, two client-group threads at the paper's shapes

@@ -20,11 +20,13 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from . import _blas
 from .aggregation import AggregationStrategy
 from .data import DatasetError, _read_text
-from .federation import ExperimentConfig, ExperimentResult, run_experiment
+from .federation import ExperimentConfig, ExperimentResult, run_family
+from .federation import run_experiment  # noqa: F401  (a name perfbench/tracing.py wraps)
 from .manifest import GRID_AXES, GRID_PRESETS, SETTINGS, ConfigError, RunManifest
 from .metrics import METRIC_NAMES
 from .nn import TrainConfig
@@ -45,8 +47,12 @@ class GridCell:
     rounds: int
     strategy: AggregationStrategy
 
+    def family(self) -> str:
+        """The cell's family: the cells of its dataset and client count, which train together."""
+        return f"{self.dataset}_c{self.clients}"
+
     def slug(self) -> str:
-        return f"{self.dataset}_c{self.clients}_r{self.rounds}_{self.strategy.value}"
+        return f"{self.family()}_r{self.rounds}_{self.strategy.value}"
 
 
 # The columns that name a cell in summary and compare CSVs; the strategy comes last.
@@ -138,36 +144,58 @@ def format_summary_table(rows: list[dict[str, str]]) -> str:
     return format_table([*CELL_KEY, *(f"{m}_mean" for m in METRIC_NAMES)], rows)
 
 
+class FamilyRun(NamedTuple):
+    """One family of a grid run: its cells and their results, its wall time and rounds trained."""
+
+    cells: list[GridCell]
+    results: list[ExperimentResult]
+    wall_time: float
+    rounds_trained: int
+
+
 def run_cells(
     manifest: RunManifest, configs: dict[GridCell, ExperimentConfig], threads: int = 1,
     on_cell: Callable[[GridCell, ExperimentResult], None] | None = None,
-) -> tuple[list[dict[str, str]], dict[str, float]]:
-    """Run each cell's config on its dataset; returns (summary rows, wall times by slug).
+) -> tuple[list[dict[str, str]], dict[str, FamilyRun]]:
+    """Run the cells family by family; returns (summary rows, family runs by family name).
 
-    Up to ``threads`` cells run at once, each training on one thread; a lone
-    cell, or cells run one at a time, train on ``threads`` threads each.
-    ``on_cell(cell, result)`` is called as each cell finishes, on the thread
-    that ran it.
+    A family is the cells of one dataset and client count (``GridCell.family``).
+    Its configs differ only in strategy and rounds, so ``run_family`` trains
+    them on one client population. Families start in grid order. Up to
+    ``threads`` families run at once, each training on one thread; a lone
+    family, or families run one at a time, train on ``threads`` threads each.
+    As a family finishes, ``on_cell(cell, result)`` is called for each of its
+    finished cells, on the thread that ran it; then the first failed cell in
+    grid order, if any, raises its error.
     """
-    def one(cell: GridCell, cell_threads: int) -> tuple[GridCell, ExperimentResult, float]:
-        dataset = manifest.resolve_dataset(cell.dataset)
+    families: dict[str, list[GridCell]] = {}
+    for cell in configs:
+        families.setdefault(cell.family(), []).append(cell)
+
+    def one(cells: list[GridCell], family_threads: int) -> FamilyRun:
+        dataset = manifest.resolve_dataset(cells[0].dataset)
         start = time.perf_counter()
-        result = run_experiment(configs[cell], dataset, threads=cell_threads)
+        family = run_family([configs[cell] for cell in cells], dataset, threads=family_threads)
         elapsed = time.perf_counter() - start
-        log.info("done %-40s %6.1fs  acc=%.4f", cell.slug(), elapsed,
-                 result.summary()["accuracy"][0])
-        if on_cell is not None:
-            on_cell(cell, result)
-        return cell, result, elapsed
+        for cell, result in zip(cells, family.results):
+            if not isinstance(result, Exception):
+                log.info("done %-40s %6.1fs  acc=%.4f", cell.slug(), elapsed,
+                         result.summary()["accuracy"][0])
+                if on_cell is not None:
+                    on_cell(cell, result)
+        for result in family.results:  # the first failed cell in grid order raises
+            if isinstance(result, Exception):
+                raise result
+        return FamilyRun(cells, family.results, elapsed, family.rounds_trained)
 
-    if threads > 1 and len(configs) > 1:
+    if threads > 1 and len(families) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, configs, [1] * len(configs)))
+            runs = list(pool.map(one, families.values(), [1] * len(families)))
     else:
-        outcomes = [one(cell, threads) for cell in configs]
+        runs = [one(cells, threads) for cells in families.values()]
 
-    rows = [summary_row(cell, result) for cell, result, _ in outcomes]
-    return rows, {cell.slug(): elapsed for cell, _, elapsed in outcomes}
+    results = {cell: result for run in runs for cell, result in zip(run.cells, run.results)}
+    return [summary_row(cell, results[cell]) for cell in configs], dict(zip(families, runs))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -199,15 +227,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
 
     def save_round_log(cell: GridCell, result: ExperimentResult) -> None:
-        # written as the cell finishes, so a later cell's failure keeps it
+        # written as the cell's family finishes, so a later failure keeps it
         write_round_log(out_dir / f"rounds_{cell.slug()}_{digest}.csv", cell, result)
 
     log.info("running %d grid cell(s), output under %s", len(cells), out_dir)
     try:
         # Held across the grid so the thread count read here is the one training ran with.
         with _blas.one_blas_thread() as blas_threads:
-            rows, timings = run_cells(manifest, configs, threads=args.threads,
-                                      on_cell=save_round_log)
+            rows, families = run_cells(manifest, configs, threads=args.threads,
+                                       on_cell=save_round_log)
     except BaseException:
         if created and not any(out_dir.iterdir()):  # leave no empty directory behind
             out_dir.rmdir()
@@ -218,8 +246,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     meta = {
         "run_hash": digest,
         "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "wall_time_s": {slug: round(t, 3) for slug, t in timings.items()},
-        "total_wall_time_s": round(sum(timings.values()), 3),
+        # a cell's wall time is its family's, so the total sums families, not cells
+        "wall_time_s": {cell.slug(): round(run.wall_time, 3)
+                        for run in families.values() for cell in run.cells},
+        "total_wall_time_s": round(sum(run.wall_time for run in families.values()), 3),
+        "rounds_trained": {name: run.rounds_trained for name, run in families.items()},
         "blas": {"library": _blas.blas_library(), "threads": blas_threads},
     }
     (out_dir / f"meta_{digest}.json").write_text(json.dumps(meta, indent=2) + "\n")
@@ -344,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="preset grid: tables23 = 4 datasets x {5,10,15} clients "
                           "x {10,20} rounds x both strategies")
     run.add_argument("--threads", type=int, default=1,
-                     help="run up to N grid cells concurrently; a lone cell trains "
-                          "its clients on N threads")
+                     help="run up to N grid families (the cells of one dataset and client "
+                          "count) concurrently; a lone family trains its clients on N threads")
     run.set_defaults(func=cmd_run)
 
     compare = sub.add_parser("compare", help="diff two summary CSVs (B minus A, in points)")
@@ -383,6 +414,7 @@ __all__ = [
     "EXIT_RUNTIME",
     "EXIT_CONFIG",
     "GridCell",
+    "FamilyRun",
     "CELL_KEY",
     "SUMMARY_FIELDS",
     "expand_grid",

@@ -7,7 +7,10 @@ additionally owns the global holdout split, which was never issued to any
 client.
 
 All randomness derives from (master_seed + repeat index); each client gets an
-independent per-round stream.
+independent per-round stream. Nothing in a repeat's set-up or rounds reads
+the strategy or the round count, so configs that differ only in those (a
+family) share each repeat's clients, and the servers whose global vectors
+are equal share each round's training.
 
 The clients of a repeat train as one stack: their models are the rows of one
 (K, P) parameter array. ``train_clients`` splits that stack into contiguous
@@ -17,11 +20,12 @@ so results depend neither on the stack nor on the thread count.
 """
 from __future__ import annotations
 
+import logging
 import os
 import time
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,6 +41,8 @@ _DOMAIN_HOLDOUT = 0
 _DOMAIN_PARTITION = 1
 _DOMAIN_INIT = 2
 _DOMAIN_CLIENT = 3
+
+log = logging.getLogger(__name__)
 
 
 def derive_seed(base_seed: int, *key: int) -> int:
@@ -215,23 +221,46 @@ class ExperimentResult:
         return out
 
 
+@dataclass
+class ServerState:
+    """One strategy's server in a repeat: its global vector, priority index and round reports.
+
+    A FedAvg server's index never changes, so its reports carry uniform
+    betas. ``error`` holds what stopped the server; a stopped server runs no
+    further round.
+    """
+
+    strategy: AggregationStrategy
+    params: np.ndarray
+    idx: PriorityIndex
+    rounds: list[RoundReport] = field(default_factory=list)
+    error: Exception | None = None
+
+
 def run_round(
     server_params: np.ndarray,
     clients: list[ClientState],
-    idx: PriorityIndex,
+    servers: Sequence[ServerState],
     cfg: ExperimentConfig,
     *,
     holdout: Dataset,
     run_seed: int,
     round_num: int,
     threads: int = 1,
-) -> tuple[np.ndarray, PriorityIndex, RoundReport]:
-    """One full federated round.
+) -> None:
+    """One full federated round for ``servers``, whose global vectors all equal ``server_params``.
 
     Order of events: broadcast the global parameters, train every client
-    locally (on up to ``threads`` threads), collect (parameters, local
-    accuracy) pairs, update the priority index (DW strategy only), aggregate,
-    then evaluate the new global model on the holdout. ``round_num`` is 1-based.
+    locally once (on up to ``threads`` threads), collect (parameters, local
+    accuracy) pairs; then, server by server, update the priority index (DW
+    strategy only) and aggregate; then evaluate each distinct new global
+    model on the holdout once. Each server ends the round holding its new
+    vector and index, with the round's report appended. ``round_num`` is
+    1-based.
+
+    A server whose aggregation or evaluation raises keeps the exception in
+    ``error`` and its old state. An exception in training propagates: it
+    stops every server of the round.
     """
     t0 = time.perf_counter()
     for client in clients:
@@ -241,24 +270,38 @@ def run_round(
         clients, cfg.train, [_client_rng(run_seed, round_num, c.client_id) for c in clients],
         threads)
 
-    if cfg.strategy is AggregationStrategy.DW_FEDAVG:
-        idx = update_priority_index(idx, local_acc)
-        new_params = dw_fedavg(local_params, idx)
-    else:
-        new_params = fedavg(local_params)
+    aggregated = []
+    for server in servers:
+        try:
+            if server.strategy is AggregationStrategy.DW_FEDAVG:
+                idx = update_priority_index(server.idx, local_acc)
+                aggregated.append((server, dw_fedavg(local_params, idx), idx))
+            else:
+                aggregated.append((server, fedavg(local_params), server.idx))
+        except Exception as exc:  # noqa: BLE001 - it stops this server alone
+            server.error = exc
     # Free the clients' (K, P) copy before the holdout's activations are
-    # allocated, and score a network over new_params itself, not a copy.
+    # allocated, and score a network over each new vector itself, not a copy.
     del local_params
-    net = DenseNetwork(clients[0].model.layer_dims, new_params)
-    metrics = evaluate_scores(net.forward(holdout.features), holdout.labels)
-    report = RoundReport(
-        round=round_num,
-        global_metrics=metrics,
-        client_local_acc=local_acc,
-        betas_after_update=idx.betas.copy(),
-        wall_time=time.perf_counter() - t0,
-    )
-    return new_params, idx, report
+    scored: list[tuple[np.ndarray, MetricSet]] = []
+    for server, new_params, idx in aggregated:
+        match = next((pair for pair in scored if np.array_equal(pair[0], new_params)), None)
+        if match is None:
+            try:
+                net = DenseNetwork(clients[0].model.layer_dims, new_params)
+                match = (new_params, evaluate_scores(net.forward(holdout.features), holdout.labels))
+            except Exception as exc:  # noqa: BLE001 - it stops this server alone
+                server.error = exc
+                continue
+            scored.append(match)
+        server.params, server.idx = match[0], idx
+        server.rounds.append(RoundReport(
+            round=round_num,
+            global_metrics=match[1],
+            client_local_acc=local_acc,
+            betas_after_update=idx.betas.copy(),
+            wall_time=time.perf_counter() - t0,
+        ))
 
 
 def setup_repeat(
@@ -281,9 +324,116 @@ def setup_repeat(
     return holdout, clients, global_net.to_vector(), PriorityIndex.uniform(cfg.n_clients, cfg.alpha)
 
 
+def _run_servers(
+    cfg: ExperimentConfig, dataset: Dataset, r: int, horizons: dict[AggregationStrategy, int],
+    threads: int,
+) -> tuple[dict[AggregationStrategy, tuple[list[RoundReport], Exception | None]], int]:
+    """Repeat ``r`` of one client population and a server per strategy.
+
+    Returns ({strategy: (its server's reports, the error that stopped it)},
+    the number of trainings), and keeps no global vector.
+
+    The server of strategy s runs ``horizons[s]`` rounds, or fewer if a round
+    stops it. Every round, the servers whose global vectors are bitwise equal
+    share one ``run_round`` call, so their clients train once: the same
+    broadcast and the same per-(run seed, round, client) streams give the
+    same training. ``cfg``'s strategy and round count are not read.
+    """
+    run_seed = cfg.master_seed + r
+    trained = 0
+    with one_blas_thread():
+        holdout, clients, params, idx = setup_repeat(cfg, dataset, run_seed)
+        servers = [ServerState(strategy, params, idx) for strategy in horizons]
+        del params  # the servers' first round replaces it
+        for round_num in range(1, max(horizons.values()) + 1):
+            groups: list[list[ServerState]] = []
+            for server in servers:
+                if server.error is not None or round_num > horizons[server.strategy]:
+                    continue
+                group = next((g for g in groups if np.array_equal(g[0].params, server.params)),
+                             None)
+                if group is None:
+                    groups.append([server])
+                else:
+                    group.append(server)
+            for group in groups:
+                trained += 1
+                try:
+                    run_round(group[0].params, clients, group, cfg, holdout=holdout,
+                              run_seed=run_seed, round_num=round_num, threads=threads)
+                except Exception as exc:  # noqa: BLE001 - training failed for the whole group
+                    for server in group:
+                        server.error = exc
+    return {server.strategy: (server.rounds, server.error) for server in servers}, trained
+
+
+def _usable_threads(threads: int | None) -> int:
+    if threads is None:  # the CPUs this process may run on
+        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return threads
+
+
+@dataclass
+class FamilyResult:
+    """Per config of a family, in the order given, its result or the error that stopped it."""
+
+    results: list[ExperimentResult | Exception]
+    rounds_trained: int  # run_round calls, each one training of the clients
+
+
+def run_family(cfgs: Sequence[ExperimentConfig], dataset: Dataset,
+               threads: int | None = None) -> FamilyResult:
+    """Run configs that differ only in strategy and n_rounds, sharing their client training.
+
+    Each repeat sets up one client population and one server per strategy,
+    run to the longest round count among that strategy's configs; a config
+    of R rounds reads its server's first R rounds. Every result is the one
+    ``run_experiment`` gives the config alone, and so is every error: a
+    server stopped in round k fails, from that repeat on, the configs of its
+    strategy with k rounds or more, while its shorter configs complete. Later
+    repeats run each server only to its longest config still running.
+    ``threads`` is as for ``run_repeat``.
+    """
+    first = cfgs[0]
+    for cfg in cfgs:
+        if replace(cfg, strategy=first.strategy, n_rounds=first.n_rounds) != first:
+            raise ValueError("a family's configs may differ only in strategy and n_rounds")
+    threads = _usable_threads(threads)
+    results: list[list[RepeatResult] | Exception] = [[] for _ in cfgs]
+    trained = 0
+    for r in range(first.repeats):
+        horizons: dict[AggregationStrategy, int] = {}
+        for cfg, result in zip(cfgs, results):
+            if not isinstance(result, Exception):
+                horizons[cfg.strategy] = max(horizons.get(cfg.strategy, 0), cfg.n_rounds)
+        if not horizons:
+            break
+        start = time.perf_counter()
+        servers, repeat_trained = _run_servers(first, dataset, r, horizons, threads)
+        trained += repeat_trained
+        reported = 0
+        for i, cfg in enumerate(cfgs):
+            if isinstance(results[i], Exception):
+                continue
+            reports, error = servers[cfg.strategy]
+            if len(reports) < cfg.n_rounds:  # stopped in a round this config has
+                results[i] = error
+            else:
+                results[i].append(RepeatResult(r, first.master_seed + r, reports[:cfg.n_rounds]))
+                reported += cfg.n_rounds
+        log.info("family %s c%d repeat %d/%d: %d rounds trained for %d reported, %.1fs",
+                 dataset.name, first.n_clients, r + 1, first.repeats, repeat_trained, reported,
+                 time.perf_counter() - start)
+    return FamilyResult([result if isinstance(result, Exception) else ExperimentResult(result)
+                         for result in results], trained)
+
+
 def run_repeat(cfg: ExperimentConfig, dataset: Dataset, r: int,
                threads: int | None = None) -> RepeatResult:
-    """Run repeat ``r`` of an experiment on an already-loaded dataset.
+    """Run repeat ``r`` of an experiment on an already-loaded dataset: a family of one.
 
     Seed ``master_seed + r`` drives the holdout split, the client partition,
     the common initial model and every client's training streams. The clients
@@ -292,28 +442,21 @@ def run_repeat(cfg: ExperimentConfig, dataset: Dataset, r: int,
     thread for the length of the call (see ``fedsim._blas``); the caller's
     thread count is restored on return.
     """
-    if threads is None:  # the CPUs this process may run on
-        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    run_seed = cfg.master_seed + r
-    reports: list[RoundReport] = []
-    with one_blas_thread():
-        holdout, clients, params, idx = setup_repeat(cfg, dataset, run_seed)
-        for round_num in range(1, cfg.n_rounds + 1):
-            params, idx, report = run_round(
-                params, clients, idx, cfg,
-                holdout=holdout, run_seed=run_seed, round_num=round_num, threads=threads,
-            )
-            reports.append(report)
-    return RepeatResult(repeat=r, run_seed=run_seed, rounds=reports)
+    servers, _ = _run_servers(cfg, dataset, r, {cfg.strategy: cfg.n_rounds},
+                              _usable_threads(threads))
+    reports, error = servers[cfg.strategy]
+    if error is not None:
+        raise error
+    return RepeatResult(repeat=r, run_seed=cfg.master_seed + r, rounds=reports)
 
 
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset,
                    threads: int | None = None) -> ExperimentResult:
-    """Execute all repeats of an experiment on an already-loaded dataset, in repeat order.
+    """Execute all repeats of an experiment on an already-loaded dataset: a family of one.
 
     ``threads`` is as for ``run_repeat``.
     """
-    return ExperimentResult([run_repeat(cfg, dataset, r, threads) for r in range(cfg.repeats)])
+    (result,) = run_family([cfg], dataset, threads).results
+    if isinstance(result, Exception):
+        raise result
+    return result

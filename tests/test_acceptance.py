@@ -21,7 +21,7 @@ import fedsim.federation as federation
 from fedsim.aggregation import PriorityIndex, dw_fedavg, fedavg, update_priority_index
 from fedsim.cli import main
 from fedsim.data import Dataset
-from fedsim.federation import ExperimentConfig, run_round
+from fedsim.federation import ExperimentConfig, ServerState, run_round
 from fedsim.manifest import ConfigError, RunManifest
 from fedsim.metrics import Confusion, accuracy, auc_rank, f1, fpr
 from fedsim.nn import DenseNetwork, init_network, loss_and_gradient
@@ -360,9 +360,9 @@ def test_criterion_10_privacy_boundary(monkeypatch):
         return dw_fedavg(models, idx, **kw)
 
     monkeypatch.setattr(federation, "dw_fedavg", spy_dw)
-    new_params, _, rep = run_round(
-        net.to_vector(), stubs, PriorityIndex.uniform(3), cfg,
-        holdout=holdout, run_seed=1, round_num=1)
+    server = ServerState(cfg.strategy, net.to_vector(), PriorityIndex.uniform(3))
+    run_round(server.params, stubs, [server], cfg, holdout=holdout, run_seed=1, round_num=1)
+    rep = server.rounds[-1]
 
     stub_ok = all(hasattr(s, "received") for s in stubs)
     types_ok = all(isinstance(m, np.ndarray) and m.ndim == 1 for m in crossed)

@@ -2,15 +2,17 @@
 import configparser
 import csv
 import json
+import logging
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from fedsim import _blas, cli
+from fedsim import _blas, cli, federation
 from fedsim import manifest as manifest_module
 from fedsim.aggregation import AggregationStrategy
 from fedsim.cli import (
@@ -231,13 +233,13 @@ class TestRunCommand:
     ])
     def test_a_lone_cell_trains_on_the_threads_a_pooled_cell_on_one(
             self, tmp_path, monkeypatch, clients, threads, trained_on):
-        real, seen = cli.run_experiment, []
+        real, seen = cli.run_family, []
 
-        def spy(cfg, dataset, **kwargs):
+        def spy(cfgs, dataset, **kwargs):
             seen.append(kwargs["threads"])
-            return real(cfg, dataset, **kwargs)
+            return real(cfgs, dataset, **kwargs)
 
-        monkeypatch.setattr(cli, "run_experiment", spy)
+        monkeypatch.setattr(cli, "run_family", spy)
         assert main(["run", "--dataset", "synth-small", "--clients", clients, "--rounds", "1",
                      "--repeats", "1", "--strategy", "fedavg", "--threads", threads,
                      "--out", str(tmp_path / "o")]) == EXIT_OK
@@ -307,15 +309,15 @@ class TestRunCommand:
                 "--repeats", "1", "--strategy", "fedavg"]
         clean = tmp_path / "clean"
         assert main([*argv, "--out", str(clean)]) == EXIT_OK
-        real, calls = cli.run_experiment, []
+        real, calls = cli.run_family, []
 
-        def fail_second_cell(cfg, dataset, *args, **kwargs):
-            calls.append(cfg.n_clients)
+        def fail_second_cell(cfgs, dataset, *args, **kwargs):
+            calls.append(cfgs[0].n_clients)
             if len(calls) == 2:
                 raise RuntimeError("second cell failed")
-            return real(cfg, dataset, *args, **kwargs)
+            return real(cfgs, dataset, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "run_experiment", fail_second_cell)
+        monkeypatch.setattr(cli, "run_family", fail_second_cell)
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out)]) == EXIT_RUNTIME
         assert calls == [2, 3]
@@ -366,10 +368,10 @@ class TestRunCommand:
         (tmp_path / "toy.csv").write_text("f0,f1,class\n" + rows, encoding="utf-8")
         manifest = write(tmp_path, f"[grid]\ndatasets = {name}\n\n"
                                    f"[dataset.{name}]\npath = toy.csv\n")
-        real, calls = cli.run_experiment, []
-        monkeypatch.setattr(cli, "run_experiment",
-                            lambda cfg, dataset, *args, **kwargs:
-                            calls.append(cfg) or real(cfg, dataset, *args, **kwargs))
+        real, calls = cli.run_family, []
+        monkeypatch.setattr(cli, "run_family",
+                            lambda cfgs, dataset, *args, **kwargs:
+                            calls.append(cfgs) or real(cfgs, dataset, *args, **kwargs))
         out = tmp_path / "o"
         code = main(["run", "--manifest", str(manifest), "--rounds", "1", "--repeats", "1",
                      "--out", str(out)])
@@ -384,10 +386,10 @@ class TestRunCommand:
         (tmp_path / "toy.csv").write_text("f0,class\n1,B\n0,Q\n", encoding="utf-8")
         manifest = write(tmp_path, "[grid]\ndatasets = synth-small, toy\n\n"
                                    "[dataset.toy]\npath = toy.csv\n")
-        real, calls = cli.run_experiment, []
-        monkeypatch.setattr(cli, "run_experiment",
-                            lambda cfg, dataset, *args, **kwargs:
-                            calls.append(cfg) or real(cfg, dataset, *args, **kwargs))
+        real, calls = cli.run_family, []
+        monkeypatch.setattr(cli, "run_family",
+                            lambda cfgs, dataset, *args, **kwargs:
+                            calls.append(cfgs) or real(cfgs, dataset, *args, **kwargs))
         out = tmp_path / "o"
         code = main(["run", "--manifest", str(manifest), "--clients", "3", "--rounds", "1",
                      "--repeats", "1", "--out", str(out)])
@@ -481,6 +483,149 @@ class TestRunCommand:
         blas = json.loads(next(out.glob("meta_*.json")).read_text())["blas"]
         library = _blas.blas_library()
         assert blas == {"library": library, "threads": 1 if library else None}
+
+
+FAMILY_MANIFEST = """
+[defaults]
+hidden_dims = 8
+local_epochs = 2
+repeats = 2
+master_seed = 5
+"""
+FAMILY_GRID = ["--dataset", "synth-small", "--clients", "2,3", "--rounds", "2,4",
+               "--strategies", "fedavg,dw-fedavg"]
+ONE_FAMILY = [*FAMILY_GRID[:2], "--clients", "3", *FAMILY_GRID[4:]]
+FAMILY_CELLS = [f"synth-small_c{c}_r{r}_{s}" for c in (2, 3) for r in (2, 4)
+                for s in ("fedavg", "dw-fedavg")]
+
+
+def cell_argv(slug):
+    """`fedsim run` grid flags of the one cell named by ``slug``."""
+    dataset, clients, rounds, strategy = re.fullmatch(r"(.+)_c(\d+)_r(\d+)_(.+)", slug).groups()
+    return ["--dataset", dataset, "--clients", clients, "--rounds", rounds,
+            "--strategies", strategy]
+
+
+def round_logs(out):
+    """Round log bytes by cell slug; the names differ across runs only by their run hash."""
+    return {p.name[len("rounds_"):].rsplit("_", 1)[0]: p.read_bytes()
+            for p in out.glob("rounds_*.csv")}
+
+
+def summary_rows(out):
+    """Summary rows by cell slug."""
+    with next(out.glob("summary_*.csv")).open(newline="") as fh:
+        return {"{dataset}_c{clients}_r{rounds}_{strategy}".format(**row): row
+                for row in csv.DictReader(fh)}
+
+
+class TestFamilies:
+    """A grid trains each (dataset, clients) family once, and its outputs are the cells' own."""
+
+    @pytest.fixture(scope="class")
+    def alone(self, tmp_path_factory):
+        """Each cell of the family grid run by itself: (round log, summary row) by slug."""
+        root = tmp_path_factory.mktemp("alone")
+        manifest = write(root, FAMILY_MANIFEST)
+        cells = {}
+        for slug in FAMILY_CELLS:
+            out = root / slug
+            assert main(["run", "--manifest", str(manifest), *cell_argv(slug),
+                         "--out", str(out)]) == EXIT_OK
+            cells[slug] = (round_logs(out)[slug], summary_rows(out)[slug])
+        return cells
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_grid_outputs_are_the_cells_run_alone_and_train_fewer_rounds(
+            self, tmp_path, monkeypatch, alone, threads):
+        real_round, real_train = federation.run_round, federation.train_clients
+        current, trainings = threading.local(), []
+
+        def spy_round(*args, **kwargs):
+            current.key = (len(args[1]), kwargs["run_seed"], kwargs["round_num"])
+            return real_round(*args, **kwargs)
+
+        def spy_train(*args, **kwargs):
+            trainings.append(current.key)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "run_round", spy_round)
+        monkeypatch.setattr(federation, "train_clients", spy_train)
+        out = tmp_path / "grid"
+        assert main(["run", "--manifest", str(write(tmp_path, FAMILY_MANIFEST)), *FAMILY_GRID,
+                     "--threads", threads, "--out", str(out)]) == EXIT_OK
+        assert round_logs(out) == {slug: log for slug, (log, _) in alone.items()}
+        assert summary_rows(out) == {slug: row for slug, (_, row) in alone.items()}
+        # each cell alone trains 2 + 4 rounds per strategy: 12 per family repeat
+        for clients in (2, 3):
+            for run_seed in (5, 6):
+                rounds = [r for c, seed, r in trainings if (c, seed) == (clients, run_seed)]
+                assert 4 <= len(rounds) <= 2 * 4 - 1
+                assert rounds.count(1) == 1
+
+    @pytest.mark.parametrize("failing_repeat", [0, 1])
+    def test_a_server_stopped_in_round_3_still_writes_its_2_round_cells(
+            self, tmp_path, monkeypatch, caplog, alone, failing_repeat):
+        real, seen = federation._client_rng, []
+
+        def client_rng(run_seed, round_num, client_id):  # a training stream
+            seen.append((run_seed, round_num))
+            if run_seed == 5 + failing_repeat and round_num >= 3:
+                raise RuntimeError(f"training failed in round {round_num} of seed {run_seed}")
+            return real(run_seed, round_num, client_id)
+
+        monkeypatch.setattr(federation, "_client_rng", client_rng)
+        manifest = write(tmp_path, FAMILY_MANIFEST)
+        out = tmp_path / "grid"
+        assert main(["run", "--manifest", str(manifest), *ONE_FAMILY,
+                     "--out", str(out)]) == EXIT_RUNTIME
+        failures = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert failures == [f"run failed: training failed in round 3 of seed {5 + failing_repeat}"]
+        short = [f"synth-small_c3_r2_{s}" for s in ("fedavg", "dw-fedavg")]
+        assert round_logs(out) == {slug: alone[slug][0] for slug in short}
+        assert not list(out.glob("summary_*.csv"))
+        if failing_repeat == 0:  # the later repeat runs the servers to their 2-round cells only
+            assert max(r for seed, r in seen if seed == 6) == 2
+        # the 4-round cell alone fails with the same message
+        caplog.clear()
+        assert main(["run", "--manifest", str(manifest), *cell_argv("synth-small_c3_r4_fedavg"),
+                     "--out", str(tmp_path / "alone")]) == EXIT_RUNTIME
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == failures
+
+    def test_a_failing_dw_server_still_writes_the_fedavg_cells(
+            self, tmp_path, monkeypatch, caplog, alone):
+        def dw_fedavg(models, idx):
+            raise RuntimeError("dw aggregation failed")
+
+        monkeypatch.setattr(federation, "dw_fedavg", dw_fedavg)
+        out = tmp_path / "grid"
+        assert main(["run", "--manifest", str(write(tmp_path, FAMILY_MANIFEST)), *ONE_FAMILY,
+                     "--out", str(out)]) == EXIT_RUNTIME
+        assert "run failed: dw aggregation failed" in caplog.text
+        fedavg = [f"synth-small_c3_r{r}_fedavg" for r in (2, 4)]
+        assert round_logs(out) == {slug: alone[slug][0] for slug in fedavg}
+        assert not list(out.glob("summary_*.csv"))
+
+    def test_each_family_repeat_logs_its_rounds_and_meta_counts_them(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="fedsim")
+        out = tmp_path / "o"
+        assert main(["run", "--manifest", str(write(tmp_path, FAMILY_MANIFEST)), *FAMILY_GRID,
+                     "--out", str(out)]) == EXIT_OK
+        lines = re.findall(r"family synth-small c(\d) repeat (\d)/2: (\d+) rounds trained "
+                           r"for 12 reported, \d+\.\ds", caplog.text)
+        assert [(c, r) for c, r, _ in lines] == [("2", "1"), ("2", "2"), ("3", "1"), ("3", "2")]
+        meta = json.loads(next(out.glob("meta_*.json")).read_text())
+        assert meta["rounds_trained"] == {
+            f"synth-small_c{c}": sum(int(n) for family, _, n in lines if family == str(c))
+            for c in (2, 3)}
+        assert all(8 <= n <= 14 for n in meta["rounds_trained"].values())
+        # every cell of a family holds the family's wall time, and the total sums families
+        walls = meta["wall_time_s"]
+        assert set(walls) == set(FAMILY_CELLS)
+        family_walls = [walls[f"synth-small_c{c}_r2_fedavg"] for c in (2, 3)]
+        for slug in FAMILY_CELLS:
+            assert walls[slug] == family_walls[int(slug[len("synth-small_c")]) - 2]
+        assert meta["total_wall_time_s"] == pytest.approx(sum(family_walls), abs=0.002)
 
 
 def make_summary(tmp_path, name, rows):

@@ -13,9 +13,11 @@ from fedsim.data import Dataset
 from fedsim.federation import (
     ClientState,
     ExperimentConfig,
+    ServerState,
     _client_rng,
     derive_seed,
     run_experiment,
+    run_family,
     run_repeat,
     run_round,
     setup_repeat,
@@ -38,6 +40,15 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+def server_round(params, clients, idx, cfg, **kwargs):
+    """run_round for one server of cfg's strategy; returns its (params, index, report)."""
+    server = ServerState(cfg.strategy, params, idx)
+    run_round(params, clients, [server], cfg, **kwargs)
+    if server.error is not None:
+        raise server.error
+    return server.params, server.idx, server.rounds[-1]
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +92,7 @@ class TestRunRound:
     def test_zero_learning_rate_is_a_fixed_point(self, small_dataset):
         cfg = small_config(n_clients=4, train=TrainConfig(learning_rate=0.0))
         holdout, clients, params, idx = setup_repeat(cfg, small_dataset, run_seed=5)
-        new_params, _, report = run_round(
+        new_params, _, report = server_round(
             params, clients, idx, cfg, holdout=holdout, run_seed=5, round_num=1)
         np.testing.assert_allclose(new_params, params, rtol=1e-12, atol=1e-15)
         assert report.round == 1
@@ -92,7 +103,7 @@ class TestRunRound:
             holdout, clients, params, _ = setup_repeat(cfg, small_dataset, run_seed=3)
             solo = [clients[0]]
             idx = PriorityIndex.uniform(1)
-            new_params, _, _ = run_round(
+            new_params, _, _ = server_round(
                 params, solo, idx, cfg, holdout=holdout, run_seed=3, round_num=1)
             np.testing.assert_array_equal(new_params, solo[0].model.to_vector())
 
@@ -101,7 +112,7 @@ class TestRunRound:
         for strategy in AggregationStrategy:
             cfg = small_config(strategy=strategy)
             holdout, clients, params, idx = setup_repeat(cfg, small_dataset, run_seed=9)
-            new_params, _, _ = run_round(
+            new_params, _, _ = server_round(
                 params, clients, idx, cfg, holdout=holdout, run_seed=9, round_num=1)
             results[strategy] = new_params
         np.testing.assert_array_equal(results[AggregationStrategy.FEDAVG],
@@ -154,8 +165,8 @@ class TestRunRound:
         _, alone, alone_params, alone_idx = setup_repeat(cfg, small_dataset, run_seed=5)
         assert len({len(c.shard.train) for c in clients}) == 3
         for round_num in (1, 2):
-            params, idx, report = run_round(params, clients, idx, cfg, holdout=holdout,
-                                            run_seed=5, round_num=round_num)
+            params, idx, report = server_round(params, clients, idx, cfg, holdout=holdout,
+                                               run_seed=5, round_num=round_num)
             results = []
             for client in alone:
                 client.receive_global(alone_params)
@@ -255,6 +266,56 @@ class TestRunExperiment:
         assert [r.run_seed for r in result.repeats] == [20, 21, 22]
 
 
+class TestFamily:
+    """Configs that differ only in strategy and rounds train together, each as if alone."""
+
+    def count_trainings(self, monkeypatch):
+        calls, real = [], federation.train_clients
+        monkeypatch.setattr(federation, "train_clients",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        return calls
+
+    def test_one_config_trains_once_per_round(self, small_dataset, monkeypatch):
+        calls = self.count_trainings(monkeypatch)
+        run_experiment(small_config(n_rounds=3, repeats=2), small_dataset, threads=1)
+        assert len(calls) == 3 * 2
+
+    def test_each_result_is_the_config_run_alone(self, small_dataset, monkeypatch):
+        cfgs = [small_config(n_rounds=n, strategy=s, repeats=2)
+                for n in (2, 4) for s in AggregationStrategy]
+        alone = [run_experiment(cfg, small_dataset, threads=1) for cfg in cfgs]
+        calls = self.count_trainings(monkeypatch)
+        family = run_family(cfgs, small_dataset, threads=1)
+        assert family.rounds_trained == len(calls) <= 2 * (2 * 4 - 1)
+        for result, ref in zip(family.results, alone, strict=True):
+            for repeat, ref_repeat in zip(result.repeats, ref.repeats, strict=True):
+                assert (repeat.repeat, repeat.run_seed) == (ref_repeat.repeat, ref_repeat.run_seed)
+                for a, b in zip(repeat.rounds, ref_repeat.rounds, strict=True):
+                    assert a.round == b.round
+                    assert a.global_metrics == b.global_metrics
+                    assert a.client_local_acc.tobytes() == b.client_local_acc.tobytes()
+                    assert a.betas_after_update.tobytes() == b.betas_after_update.tobytes()
+
+    def test_a_failing_server_fails_only_its_own_longer_configs(self, small_dataset, monkeypatch):
+        def dw_fedavg(models, idx):
+            if idx.round == 2:
+                raise RuntimeError("dw round 2")
+            return real(models, idx)
+
+        real = federation.dw_fedavg
+        monkeypatch.setattr(federation, "dw_fedavg", dw_fedavg)
+        cfgs = [small_config(n_rounds=n, strategy=s) for n in (1, 3) for s in AggregationStrategy]
+        results = run_family(cfgs, small_dataset, threads=1).results
+        assert [isinstance(r, Exception) for r in results] == [False, False, False, True]
+        assert str(results[3]) == "dw round 2"
+        with pytest.raises(RuntimeError, match="dw round 2"):
+            run_experiment(cfgs[3], small_dataset, threads=1)
+
+    def test_configs_that_differ_in_more_are_not_a_family(self, small_dataset):
+        with pytest.raises(ValueError, match="differ only in strategy and n_rounds"):
+            run_family([small_config(), small_config(n_clients=4)], small_dataset)
+
+
 class TestThreads:
     """A round's client stack split across threads: the same bits, and errors as unsplit."""
 
@@ -324,8 +385,8 @@ class TestPoorClient:
         train = clients[0].shard.train
         flipped.labels[train] = 1 - flipped.labels[train]
         for round_num in range(1, cfg.n_rounds + 1):
-            params, idx, report = run_round(params, clients, idx, cfg, holdout=holdout,
-                                            run_seed=42, round_num=round_num)
+            params, idx, report = server_round(params, clients, idx, cfg, holdout=holdout,
+                                               run_seed=42, round_num=round_num)
         return report
 
     def test_dw_fedavg_down_weights_a_client_with_flipped_labels(self):

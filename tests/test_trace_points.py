@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fedsim import ExperimentConfig, resolve_synthetic, run_round, setup_repeat
+from fedsim import ExperimentConfig, ServerState, resolve_synthetic, run_round, setup_repeat
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -36,12 +36,12 @@ def test_trace_point_resolves(module_name, path):
 
 
 def test_round_attrs_count_the_rows_of_a_real_round():
-    # run on every benchmark run, traced or not, with run_repeat's call of run_round
+    # run on every benchmark run, traced or not, with a repeat's call of run_round
     dataset = resolve_synthetic("synth-small")
     cfg = ExperimentConfig(dataset=dataset.name, n_clients=3, n_rounds=1, repeats=1,
                            hidden_dims=(8,))
     holdout, clients, params, idx = setup_repeat(cfg, dataset, run_seed=3)
-    args = (params, clients, idx, cfg)
+    args = (params, clients, [ServerState(cfg.strategy, params, idx)], cfg)
     kwargs = {"holdout": holdout, "run_seed": 3, "round_num": 1}
     attrs = load_tracing()._round_attrs(args, kwargs, run_round(*args, **kwargs))
     assert attrs["data_rows"] == len(dataset)
