@@ -22,6 +22,7 @@ from .data import (
     partition_clients,
 )
 from .federation import (
+    Client,
     ClientState,
     ExperimentConfig,
     ExperimentResult,
@@ -65,6 +66,7 @@ __all__ = [
     "load_csv",
     "min_max_scale",
     "partition_clients",
+    "Client",
     "ClientState",
     "ExperimentConfig",
     "ExperimentResult",

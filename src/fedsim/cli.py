@@ -25,7 +25,7 @@ from typing import NamedTuple
 from . import _blas
 from .aggregation import AggregationStrategy
 from .data import DatasetError, _read_text
-from .federation import ExperimentConfig, ExperimentResult, run_family
+from .federation import ExperimentConfig, ExperimentResult, run_family, split_repeat
 from .federation import run_experiment  # noqa: F401  (a name perfbench/tracing.py wraps)
 from .manifest import GRID_AXES, GRID_PRESETS, SETTINGS, ConfigError, RunManifest
 from .metrics import METRIC_NAMES
@@ -148,7 +148,7 @@ class FamilyRun(NamedTuple):
     """One family of a grid run: its cells and their results, its wall time and rounds trained."""
 
     cells: list[GridCell]
-    results: list[ExperimentResult]
+    results: list[ExperimentResult | Exception]
     wall_time: float
     rounds_trained: int
 
@@ -165,17 +165,20 @@ def run_cells(
     ``threads`` families run at once, each training on one thread; a lone
     family, or families run one at a time, train on ``threads`` threads each.
     As a family finishes, ``on_cell(cell, result)`` is called for each of its
-    finished cells, on the thread that ran it; then the first failed cell in
-    grid order, if any, raises its error.
+    finished cells, on the thread that ran it. Every family runs, whatever
+    fails; then the first failed cell in grid order, if any, raises its error.
     """
     families: dict[str, list[GridCell]] = {}
     for cell in configs:
         families.setdefault(cell.family(), []).append(cell)
 
     def one(cells: list[GridCell], family_threads: int) -> FamilyRun:
-        dataset = manifest.resolve_dataset(cells[0].dataset)
         start = time.perf_counter()
-        family = run_family([configs[cell] for cell in cells], dataset, threads=family_threads)
+        try:
+            family = run_family([configs[cell] for cell in cells],
+                                manifest.resolve_dataset(cells[0].dataset), threads=family_threads)
+        except Exception as exc:  # noqa: BLE001 - it fails this family's cells alone
+            return FamilyRun(cells, [exc] * len(cells), time.perf_counter() - start, 0)
         elapsed = time.perf_counter() - start
         for cell, result in zip(cells, family.results):
             if not isinstance(result, Exception):
@@ -183,9 +186,6 @@ def run_cells(
                          result.summary()["accuracy"][0])
                 if on_cell is not None:
                     on_cell(cell, result)
-        for result in family.results:  # the first failed cell in grid order raises
-            if isinstance(result, Exception):
-                raise result
         return FamilyRun(cells, family.results, elapsed, family.rounds_trained)
 
     if threads > 1 and len(families) > 1:
@@ -195,6 +195,9 @@ def run_cells(
         runs = [one(cells, threads) for cells in families.values()]
 
     results = {cell: result for run in runs for cell, result in zip(run.cells, run.results)}
+    for cell in configs:
+        if isinstance(results[cell], Exception):
+            raise results[cell]
     return [summary_row(cell, results[cell]) for cell in configs], dict(zip(families, runs))
 
 
@@ -210,14 +213,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         configs = {cell: cell_config(manifest, cell) for cell in cells}
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    # Every grid dataset is loaded here, where a load error exits before any
-    # output; the cells read it from the manifest's cache.
+    # Every grid dataset is loaded, and every family repeat's holdout split and
+    # client partition made, here, where an error exits before any output; the
+    # cells read the dataset from the manifest's cache.
     for cell, config in configs.items():
         n_features = manifest.resolve_dataset(cell.dataset).n_features
         try:
             config.check_input_width(n_features)
         except ValueError as exc:
             raise ConfigError(f"dataset '{cell.dataset}': {exc}") from None
+    for config in {cell.family(): config for cell, config in configs.items()}.values():
+        for r in range(config.repeats):
+            split_repeat(config, manifest.resolve_dataset(config.dataset), config.master_seed + r)
     digest = run_hash(manifest, cells)
     out_dir = Path(args.out) if args.out else manifest.output["dir"]
     created = not out_dir.exists()

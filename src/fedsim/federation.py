@@ -1,10 +1,10 @@
 """The simulated federated loop: broadcast, local training, aggregation, evaluation.
 
-One process plays every role. The privacy boundary is the ClientState
-interface: a client reads only its own rows of the shared table; only
-parameter vectors and scalar accuracies reach the server loop. The server
-additionally owns the global holdout split, which was never issued to any
-client.
+One process plays every role. The privacy boundary is the return of
+``ClientState.local_update``: a client reads only its own rows of the shared
+table, and only parameter vectors and scalar accuracies reach the server
+loop. The server additionally owns the global holdout split, which was never
+issued to any client.
 
 All randomness derives from (master_seed + repeat index); each client gets an
 independent per-round stream. Nothing in a repeat's set-up or rounds reads
@@ -12,11 +12,11 @@ the strategy or the round count, so configs that differ only in those (a
 family) share each repeat's clients, and the servers whose global vectors
 are equal share each round's training.
 
-The clients of a repeat train as one stack: their models are the rows of one
-(K, P) parameter array. ``train_clients`` splits that stack into contiguous
-groups of clients, one per thread, and trains each group's SGD steps as one
-``nn.sgd_epochs`` call. Each client's arithmetic is the one it would do alone,
-so results depend neither on the stack nor on the thread count.
+The clients of a repeat are one ``ClientState``, their models the rows of one
+(K, P) array. ``local_update`` writes the broadcast into every row, splits the
+stack into contiguous groups of clients, one per thread, and trains each group
+as one ``nn.sgd_epochs`` call. Each client's arithmetic is the one it would do
+alone, so results depend neither on the stack nor on the thread count.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ import time
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,89 +57,79 @@ def _client_rng(run_seed: int, round_num: int, client_id: int) -> np.random.Gene
     return np.random.default_rng(ss)
 
 
-@dataclass
-class ClientState:
-    """A participant: its private shard and current local model."""
+class Client(NamedTuple):
+    """One participant: its id and its private shard of the shared table."""
 
     client_id: int
     shard: ClientShard
-    model: DenseNetwork
 
-    def receive_global(self, global_params: np.ndarray) -> None:
-        """Replace the local model's parameters with the broadcast global ones."""
-        self.model.set_vector(global_params)
 
-    def local_update(self, cfg: TrainConfig, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-        """Train the local model in place for cfg.local_epochs, then measure its local test accuracy.
+@dataclass(eq=False)
+class ClientState(Sequence):
+    """The client records of one repeat, in client order, and their networks of ``layer_dims``.
 
-        Returns only what may cross the privacy boundary: the updated flat
-        parameter vector and the scalar local test accuracy.
+    Client k's network is row k of the (K, P) array ``params``.
+    """
 
-        Raises:
-            FloatingPointError: if training left a parameter non-finite
-                (typically a learning rate too large for the data).
+    clients: list[Client]
+    layer_dims: list[int]
+    params: np.ndarray
+
+    def __getitem__(self, i):
+        return self.clients[i]
+
+    def __len__(self) -> int:
+        return len(self.clients)
+
+    def local_update(self, global_params: np.ndarray, cfg: TrainConfig, rngs,
+                     threads: int = 1) -> tuple[list[np.ndarray], np.ndarray]:
+        """Broadcast ``global_params`` into every row and train every client for cfg.local_epochs.
+
+        Returns what may cross the privacy boundary, in client order: each
+        client's trained flat vector (a copy, not a view of the stack) and its
+        scalar local test accuracy. Client k draws its batches from ``rngs[k]``.
+        The stack trains as ``min(threads, K)`` contiguous groups, the first on
+        the calling thread and each other on a helper thread. A
+        FloatingPointError names the lowest client id whose training left a
+        parameter non-finite, whatever the split.
         """
-        (acc,) = _train_stack(self.model.params[None], [self], cfg, [rng])
-        return self.model.to_vector(), acc
+        self.params[:] = global_params
+
+        def train(group: np.ndarray) -> list[float]:
+            lo, hi = group[0], group[-1] + 1
+            return _train_stack(self.params[lo:hi], self.clients[lo:hi], self.layer_dims, cfg,
+                                rngs[lo:hi])
+
+        first, *rest = np.array_split(np.arange(len(self)), min(threads, len(self)))
+        # a pool starts threads only as work is submitted; leaving the block joins
+        # every helper, also when a group raised
+        with ThreadPoolExecutor(max(len(rest), 1)) as pool:
+            helpers = [pool.submit(train, group) for group in rest]
+            accs = train(first)
+            for helper in helpers:  # in client order, so the lowest diverged id is raised
+                accs += helper.result()
+        return list(self.params.copy()), np.array(accs)
 
 
-class ClientStack(tuple):
-    """The clients of one repeat, in client order, whose models are the rows of one (K, P) array."""
+def _train_stack(stack: np.ndarray, clients: Sequence[Client], layer_dims: list[int],
+                 cfg: TrainConfig, rngs) -> list[float]:
+    """Train the rows of ``stack``, one per client, in place and return their local test accuracies.
 
-    def __new__(cls, clients, params: np.ndarray):
-        stack = super().__new__(cls, clients)
-        stack.params = params
-        return stack
-
-
-def _train_stack(stack: np.ndarray, clients, cfg: TrainConfig, rngs) -> list[float]:
-    """Train ``clients`` in place for cfg.local_epochs and return their local test accuracies.
-
-    ``stack[g]`` is ``clients[g].model.params``, and every shard indexes one
-    shared table. Raises FloatingPointError, naming the lowest such client id,
-    if training left a parameter non-finite.
+    Every shard indexes one shared table. Raises FloatingPointError, naming
+    the lowest such client id, if training left a parameter non-finite.
     """
     data = clients[0].shard.data
     grad = np.empty_like(stack)
     for _ in range(cfg.local_epochs):
-        sgd_epochs(stack, clients[0].model.layer_dims, data.features, data.labels,
+        sgd_epochs(stack, layer_dims, data.features, data.labels,
                    [c.shard.train for c in clients], cfg, rngs, grad, loss=False)
     diverged = [c.client_id for c, row in zip(clients, stack) if not np.isfinite(row).all()]
     if diverged:
         raise FloatingPointError(f"client {min(diverged)}: local training diverged to non-finite "
                                  f"parameters at learning rate {cfg.learning_rate}")
-    return [float(np.mean(predict_labels(c.model, data.features[c.shard.local_test])
-                          == data.labels[c.shard.local_test])) for c in clients]
-
-
-def train_clients(clients, cfg: TrainConfig, rngs,
-                  threads: int = 1) -> tuple[list[np.ndarray], np.ndarray]:
-    """Every client's local update of one round: (parameter vectors, local accuracies) in client order.
-
-    A ``ClientStack`` is split into ``min(threads, K)`` contiguous groups of
-    clients; the calling thread trains the first and one helper thread each
-    of the others, every group as one stack. Any other list of clients trains
-    client by client through ``local_update``. The vectors are copies, not
-    views of the client models. A divergence names the lowest diverged client
-    id, whatever the split.
-    """
-    if not isinstance(clients, ClientStack):
-        results = [c.local_update(cfg, rng) for c, rng in zip(clients, rngs)]
-        return [vec for vec, _ in results], np.array([acc for _, acc in results])
-
-    def train(group: np.ndarray) -> list[float]:
-        lo, hi = group[0], group[-1] + 1
-        return _train_stack(clients.params[lo:hi], clients[lo:hi], cfg, rngs[lo:hi])
-
-    first, *rest = np.array_split(np.arange(len(clients)), min(threads, len(clients)))
-    # a pool starts threads only as work is submitted; leaving the block joins
-    # every helper, also when a group raised
-    with ThreadPoolExecutor(max(len(rest), 1)) as pool:
-        helpers = [pool.submit(train, group) for group in rest]
-        accs = train(first)
-        for helper in helpers:  # in client order, so the lowest diverged id is raised
-            accs += helper.result()
-    return list(clients.params.copy()), np.array(accs)
+    return [float(np.mean(predict_labels(DenseNetwork(layer_dims, row),
+                                         data.features[c.shard.local_test])
+                          == data.labels[c.shard.local_test])) for c, row in zip(clients, stack)]
 
 
 @dataclass
@@ -239,7 +230,7 @@ class ServerState:
 
 def run_round(
     server_params: np.ndarray,
-    clients: list[ClientState],
+    clients: ClientState,
     servers: Sequence[ServerState],
     cfg: ExperimentConfig,
     *,
@@ -250,24 +241,21 @@ def run_round(
 ) -> None:
     """One full federated round for ``servers``, whose global vectors all equal ``server_params``.
 
-    Order of events: broadcast the global parameters, train every client
-    locally once (on up to ``threads`` threads), collect (parameters, local
-    accuracy) pairs; then, server by server, update the priority index (DW
-    strategy only) and aggregate; then evaluate each distinct new global
-    model on the holdout once. Each server ends the round holding its new
-    vector and index, with the round's report appended. ``round_num`` is
-    1-based.
+    Order of events: ``clients.local_update`` broadcasts the global
+    parameters, trains every client locally once (on up to ``threads``
+    threads) and returns (parameters, local accuracy) pairs; then, server by
+    server, update the priority index (DW strategy only) and aggregate; then
+    evaluate each distinct new global model on the holdout once. Each server
+    ends the round holding its new vector and index, with the round's report
+    appended. ``round_num`` is 1-based.
 
     A server whose aggregation or evaluation raises keeps the exception in
     ``error`` and its old state. An exception in training propagates: it
     stops every server of the round.
     """
     t0 = time.perf_counter()
-    for client in clients:
-        client.receive_global(server_params)
-
-    local_params, local_acc = train_clients(
-        clients, cfg.train, [_client_rng(run_seed, round_num, c.client_id) for c in clients],
+    local_params, local_acc = clients.local_update(
+        server_params, cfg.train, [_client_rng(run_seed, round_num, c.client_id) for c in clients],
         threads)
 
     aggregated = []
@@ -288,7 +276,7 @@ def run_round(
         match = next((pair for pair in scored if np.array_equal(pair[0], new_params)), None)
         if match is None:
             try:
-                net = DenseNetwork(clients[0].model.layer_dims, new_params)
+                net = DenseNetwork(clients.layer_dims, new_params)
                 match = (new_params, evaluate_scores(net.forward(holdout.features), holdout.labels))
             except Exception as exc:  # noqa: BLE001 - it stops this server alone
                 server.error = exc
@@ -304,24 +292,30 @@ def run_round(
         ))
 
 
+def split_repeat(cfg: ExperimentConfig, dataset: Dataset,
+                 run_seed: int) -> tuple[np.ndarray, list[ClientShard]]:
+    """One repeat's holdout rows and client shards, index arrays into ``dataset``, or a DatasetError."""
+    train, test = holdout_split(dataset, cfg.holdout_fraction,
+                                derive_seed(run_seed, _DOMAIN_HOLDOUT))
+    return test, partition_clients(dataset, train, cfg.n_clients, cfg.local_test_fraction,
+                                   seed=derive_seed(run_seed, _DOMAIN_PARTITION))
+
+
 def setup_repeat(
     cfg: ExperimentConfig, dataset: Dataset, run_seed: int
-) -> tuple[Dataset, ClientStack, np.ndarray, PriorityIndex]:
+) -> tuple[Dataset, ClientState, np.ndarray, PriorityIndex]:
     """Split, shard and initialize one repeat; returns (holdout, clients, params, index).
 
     The holdout is the one copy of feature rows; the shards index ``dataset``.
+    The clients' stack is left unset: every round's broadcast overwrites it.
     """
-    train, test = holdout_split(dataset, cfg.holdout_fraction,
-                                derive_seed(run_seed, _DOMAIN_HOLDOUT))
-    shards = partition_clients(dataset, train, cfg.n_clients, cfg.local_test_fraction,
-                               seed=derive_seed(run_seed, _DOMAIN_PARTITION))
+    test, shards = split_repeat(cfg, dataset, run_seed)
     holdout = Dataset(dataset.name, dataset.features[test], dataset.labels[test])
     global_net = init_network(dataset.features.shape[1], list(cfg.hidden_dims),
                               seed=derive_seed(run_seed, _DOMAIN_INIT))
-    params = np.tile(global_net.params, (len(shards), 1))
-    clients = ClientStack([ClientState(s.client_id, s, DenseNetwork(global_net.layer_dims, row))
-                           for s, row in zip(shards, params)], params)
-    return holdout, clients, global_net.to_vector(), PriorityIndex.uniform(cfg.n_clients, cfg.alpha)
+    clients = ClientState([Client(s.client_id, s) for s in shards], global_net.layer_dims,
+                          np.empty((len(shards), global_net.n_params)))
+    return holdout, clients, global_net.params, PriorityIndex.uniform(cfg.n_clients, cfg.alpha)
 
 
 def _run_servers(
@@ -346,16 +340,11 @@ def _run_servers(
         servers = [ServerState(strategy, params, idx) for strategy in horizons]
         del params  # the servers' first round replaces it
         for round_num in range(1, max(horizons.values()) + 1):
-            groups: list[list[ServerState]] = []
-            for server in servers:
-                if server.error is not None or round_num > horizons[server.strategy]:
-                    continue
-                group = next((g for g in groups if np.array_equal(g[0].params, server.params)),
-                             None)
-                if group is None:
-                    groups.append([server])
-                else:
-                    group.append(server)
+            live = [s for s in servers if s.error is None and round_num <= horizons[s.strategy]]
+            # one group per distinct vector, led by its first server; made before any round runs
+            groups = [[s for s in live if np.array_equal(s.params, lead.params)]
+                      for i, lead in enumerate(live)
+                      if not any(np.array_equal(lead.params, s.params) for s in live[:i])]
             for group in groups:
                 trained += 1
                 try:

@@ -13,6 +13,7 @@ import csv
 import inspect
 import os
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from fedsim.data import Dataset
 from fedsim.federation import ExperimentConfig, ServerState, run_round
 from fedsim.manifest import ConfigError, RunManifest
 from fedsim.metrics import Confusion, accuracy, auc_rank, f1, fpr
-from fedsim.nn import DenseNetwork, init_network, loss_and_gradient
+from fedsim.nn import init_network, loss_and_gradient
 from fedsim.synth import resolve_synthetic
 
 MASTER_SEED = 42
@@ -331,22 +332,27 @@ def test_criterion_10_privacy_boundary(monkeypatch):
 
     # 2. data-free stand-in clients satisfy the whole server-side interface;
     #    any access to shard rows would raise AttributeError
-    class StubClient:
-        def __init__(self, cid, dims, vec):
-            self.client_id = cid
-            self.model = DenseNetwork.from_vector(dims, vec)
-            self._vec = vec
+    class StubClients:
+        def __init__(self, dims, vecs):
+            self.layer_dims = dims
+            self.records = [SimpleNamespace(client_id=i) for i in range(len(vecs))]
+            self._vecs = vecs
 
-        def receive_global(self, params):
-            self.received = np.asarray(params).copy()
+        def __iter__(self):
+            return iter(self.records)
 
-        def local_update(self, cfg, rng):
-            return self._vec.copy(), 0.5 + 0.1 * self.client_id
+        def __len__(self):
+            return len(self.records)
+
+        def local_update(self, global_params, cfg, rngs, threads=1):
+            self.received = np.asarray(global_params).copy()
+            return [v.copy() for v in self._vecs], np.array([0.5 + 0.1 * c.client_id
+                                                             for c in self.records])
 
     net = init_network(4, [3], seed=0)
     dims = net.layer_dims
     rng = np.random.default_rng(0)
-    stubs = [StubClient(i, dims, rng.normal(size=net.n_params)) for i in range(3)]
+    stubs = StubClients(dims, [rng.normal(size=net.n_params) for _ in range(3)])
     holdout = Dataset(name="holdout", features=rng.random((20, 4)),
                       labels=np.array([0, 1] * 10))
     cfg = ExperimentConfig(dataset="stub", n_clients=3, n_rounds=1,
@@ -364,7 +370,7 @@ def test_criterion_10_privacy_boundary(monkeypatch):
     run_round(server.params, stubs, [server], cfg, holdout=holdout, run_seed=1, round_num=1)
     rep = server.rounds[-1]
 
-    stub_ok = all(hasattr(s, "received") for s in stubs)
+    stub_ok = np.array_equal(getattr(stubs, "received", None), net.to_vector())
     types_ok = all(isinstance(m, np.ndarray) and m.ndim == 1 for m in crossed)
     acc_ok = np.allclose(rep.client_local_acc, [0.5, 0.6, 0.7])
     report(10, not refs and stub_ok and types_ok and acc_ok,

@@ -325,6 +325,37 @@ class TestRunCommand:
         assert [p.name for p in out.iterdir()] == [first.name]  # no summary, meta or second log
         assert (out / first.name).read_bytes() == first.read_bytes()
 
+    def test_a_failed_grid_leaves_the_same_round_logs_at_any_thread_count(
+            self, tmp_path, monkeypatch):
+        def dw_fedavg(models, idx):
+            raise RuntimeError("dw aggregation failed")
+
+        monkeypatch.setattr(federation, "dw_fedavg", dw_fedavg)
+        logs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert main(["run", "--dataset", "synth-small", "--clients", "2,3", "--rounds", "1",
+                         "--repeats", "1", "--strategies", "fedavg,dw-fedavg",
+                         "--threads", threads, "--out", str(out)]) == EXIT_RUNTIME
+            logs[threads] = round_logs(out)
+        assert logs["1"] == logs["2"]
+        assert sorted(logs["1"]) == ["synth-small_c2_r1_fedavg", "synth-small_c3_r1_fedavg"]
+
+    def test_a_client_count_too_large_for_the_dataset_is_exit_two_before_any_cell(
+            self, tmp_path, capsys, monkeypatch):
+        # the 3-client family comes first in the grid and splits fine
+        real, calls = cli.run_family, []
+        monkeypatch.setattr(cli, "run_family",
+                            lambda cfgs, dataset, *args, **kwargs:
+                            calls.append(cfgs) or real(cfgs, dataset, *args, **kwargs))
+        out = tmp_path / "o"
+        code = main(["run", "--dataset", "synth-small", "--clients", "3,150", "--rounds", "1",
+                     "--repeats", "1", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: synth-small: ")
+        assert calls == []
+        assert not out.exists()
+
     def test_holdout_fraction_that_draws_no_class_sample_is_exit_two(self, tmp_path, capsys):
         manifest = write(tmp_path, "[defaults]\nholdout_fraction = 0.001\nrepeats = 1\n")
         out = tmp_path / "o"
@@ -538,7 +569,7 @@ class TestFamilies:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_grid_outputs_are_the_cells_run_alone_and_train_fewer_rounds(
             self, tmp_path, monkeypatch, alone, threads):
-        real_round, real_train = federation.run_round, federation.train_clients
+        real_round, real_train = federation.run_round, federation.ClientState.local_update
         current, trainings = threading.local(), []
 
         def spy_round(*args, **kwargs):
@@ -550,7 +581,7 @@ class TestFamilies:
             return real_train(*args, **kwargs)
 
         monkeypatch.setattr(federation, "run_round", spy_round)
-        monkeypatch.setattr(federation, "train_clients", spy_train)
+        monkeypatch.setattr(federation.ClientState, "local_update", spy_train)
         out = tmp_path / "grid"
         assert main(["run", "--manifest", str(write(tmp_path, FAMILY_MANIFEST)), *FAMILY_GRID,
                      "--threads", threads, "--out", str(out)]) == EXIT_OK

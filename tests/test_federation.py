@@ -21,7 +21,6 @@ from fedsim.federation import (
     run_repeat,
     run_round,
     setup_repeat,
-    train_clients,
 )
 from fedsim.nn import TrainConfig
 from fedsim.synth import make_two_cluster, resolve_synthetic
@@ -40,6 +39,11 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+def alone(clients, i):
+    """Client ``i`` of ``clients`` as a ClientState of one, with a stack of its own."""
+    return ClientState(clients[i:i + 1], clients.layer_dims, np.empty((1, clients.params.shape[1])))
 
 
 def server_round(params, clients, idx, cfg, **kwargs):
@@ -101,11 +105,11 @@ class TestRunRound:
         for strategy in AggregationStrategy:
             cfg = small_config(strategy=strategy)
             holdout, clients, params, _ = setup_repeat(cfg, small_dataset, run_seed=3)
-            solo = [clients[0]]
+            solo = alone(clients, 0)
             idx = PriorityIndex.uniform(1)
             new_params, _, _ = server_round(
                 params, solo, idx, cfg, holdout=holdout, run_seed=3, round_num=1)
-            np.testing.assert_array_equal(new_params, solo[0].model.to_vector())
+            np.testing.assert_array_equal(new_params, solo.params[0])
 
     def test_round_one_strategy_equivalence_is_bitwise(self, small_dataset):
         results = {}
@@ -120,18 +124,21 @@ class TestRunRound:
 
     def test_stack_rows_are_the_clients_in_client_order(self, small_dataset):
         # at run seed 5 the 7 clients' shard lengths are not in client order
-        _, clients, _, _ = setup_repeat(small_config(n_clients=7), small_dataset, run_seed=5)
-        for i, client in enumerate(clients):
-            assert np.shares_memory(clients.params[i], client.model.params)
+        _, clients, params, _ = setup_repeat(small_config(n_clients=7), small_dataset, run_seed=5)
+        assert [c.client_id for c in clients] == [c.shard.client_id for c in clients] == [*range(7)]
+        lengths = [len(c.shard.train) for c in clients]
+        assert lengths != sorted(lengths, reverse=True)
+        assert clients.params.shape == (7, params.size)
+        assert clients.layer_dims == [small_dataset.n_features, 8, 1]
 
     def test_returned_vectors_are_copies_of_the_client_models(self, small_dataset):
         cfg = small_config()
-        _, clients, _, _ = setup_repeat(cfg, small_dataset, run_seed=5)
-        vecs, _ = train_clients(clients, cfg.train,
-                                [_client_rng(5, 1, c.client_id) for c in clients])
-        trained = clients[0].model.params.copy()
+        _, clients, params, _ = setup_repeat(cfg, small_dataset, run_seed=5)
+        vecs, _ = clients.local_update(params, cfg.train,
+                                       [_client_rng(5, 1, c.client_id) for c in clients])
+        trained = clients.params[0].copy()
         vecs[0][:] = 0.0
-        assert clients[0].model.params.tobytes() == trained.tobytes()
+        assert clients.params[0].tobytes() == trained.tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("strategy", list(AggregationStrategy))
@@ -162,23 +169,24 @@ class TestRunRound:
         # epoch ends in batches of 8, 9 and 10 rows
         cfg = small_config(n_clients=7)
         holdout, clients, params, idx = setup_repeat(cfg, small_dataset, run_seed=5)
-        _, alone, alone_params, alone_idx = setup_repeat(cfg, small_dataset, run_seed=5)
+        _, others, alone_params, alone_idx = setup_repeat(cfg, small_dataset, run_seed=5)
+        solos = [alone(others, i) for i in range(cfg.n_clients)]
         assert len({len(c.shard.train) for c in clients}) == 3
         for round_num in (1, 2):
             params, idx, report = server_round(params, clients, idx, cfg, holdout=holdout,
                                                run_seed=5, round_num=round_num)
             results = []
-            for client in alone:
-                client.receive_global(alone_params)
-                results.append(client.local_update(
-                    cfg.train, _client_rng(5, round_num, client.client_id)))
+            for solo in solos:
+                (vec,), (acc,) = solo.local_update(
+                    alone_params, cfg.train, [_client_rng(5, round_num, solo[0].client_id)])
+                results.append((vec, acc))
             accs = np.array([acc for _, acc in results])
             alone_idx = update_priority_index(alone_idx, accs)
             alone_params = dw_fedavg([vec for vec, _ in results], alone_idx)
             assert params.tobytes() == alone_params.tobytes()
             assert report.client_local_acc.tolist() == accs.tolist()
-            for client, ref in zip(clients, alone):
-                assert client.model.params.tobytes() == ref.model.params.tobytes()
+            for row, solo in zip(clients.params, solos, strict=True):
+                assert row.tobytes() == solo.params[0].tobytes()
 
     def test_betas_stay_uniform_in_round_one_and_move_later(self, small_dataset):
         cfg = small_config(n_rounds=3)
@@ -270,8 +278,8 @@ class TestFamily:
     """Configs that differ only in strategy and rounds train together, each as if alone."""
 
     def count_trainings(self, monkeypatch):
-        calls, real = [], federation.train_clients
-        monkeypatch.setattr(federation, "train_clients",
+        calls, real = [], ClientState.local_update
+        monkeypatch.setattr(ClientState, "local_update",
                             lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
         return calls
 
@@ -359,15 +367,15 @@ class TestThreads:
         # group, at 3 and 5 threads each in a group of its own
         cfg = small_config(n_clients=5)
         blown = Dataset(small_dataset.name, small_dataset.features.copy(), small_dataset.labels)
-        _, clients, _, _ = setup_repeat(cfg, blown, run_seed=5)
+        _, clients, params, _ = setup_repeat(cfg, blown, run_seed=5)
         for client in clients[3:]:
             blown.features[client.shard.train] = 1e300
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match=r"^client 3: local training diverged"):
-            train_clients(clients, cfg.train, [_client_rng(5, 1, c.client_id) for c in clients],
-                          threads)
+            clients.local_update(params, cfg.train,
+                                 [_client_rng(5, 1, c.client_id) for c in clients], threads)
         assert threading.active_count() == before
-        assert all(np.isfinite(c.model.params).all() for c in clients[:3])
+        assert all(np.isfinite(row).all() for row in clients.params[:3])
 
 
 @pytest.mark.slow
@@ -397,32 +405,36 @@ class TestPoorClient:
 
 
 class TestClientState:
-    def test_local_update_returns_vector_and_scalar_accuracy(self, small_dataset):
-        cfg = small_config()
-        _, clients, params, _ = setup_repeat(cfg, small_dataset, run_seed=1)
-        client = clients[0]
-        client.receive_global(params)
-        vec, acc = client.local_update(cfg.train, np.random.default_rng(0))
-        assert isinstance(vec, np.ndarray)
-        assert vec.ndim == 1
-        assert vec.size == client.model.n_params
-        assert isinstance(acc, float)
-        assert 0.0 <= acc <= 1.0
+    def rngs(self, clients):
+        return [np.random.default_rng(c.client_id) for c in clients]
 
-    def test_local_update_trains_the_client_model_in_place(self, small_dataset):
+    def test_local_update_returns_vectors_and_scalar_accuracies(self, small_dataset):
         cfg = small_config()
         _, clients, params, _ = setup_repeat(cfg, small_dataset, run_seed=1)
-        client = clients[0]
-        model, buffer = client.model, client.model.params
-        vec, _ = client.local_update(cfg.train, np.random.default_rng(0))
-        assert client.model is model and client.model.params is buffer
-        np.testing.assert_array_equal(client.model.params, vec)
-        assert not np.array_equal(vec, params)
+        vecs, accs = clients.local_update(params, cfg.train, self.rngs(clients))
+        assert len(vecs) == accs.size == cfg.n_clients
+        for vec, acc in zip(vecs, accs):
+            assert isinstance(vec, np.ndarray)
+            assert vec.ndim == 1
+            assert vec.size == params.size
+            assert isinstance(acc, float)
+            assert 0.0 <= acc <= 1.0
 
-    def test_receive_global_overwrites_local_model(self, small_dataset):
+    def test_local_update_trains_the_stack_in_place(self, small_dataset):
         cfg = small_config()
         _, clients, params, _ = setup_repeat(cfg, small_dataset, run_seed=1)
-        client = clients[0]
-        client.local_update(cfg.train, np.random.default_rng(0))
-        client.receive_global(params)
-        np.testing.assert_array_equal(client.model.to_vector(), params)
+        buffer = clients.params
+        vecs, _ = clients.local_update(params, cfg.train, self.rngs(clients))
+        assert clients.params is buffer
+        np.testing.assert_array_equal(clients.params, vecs)
+        assert not any(np.array_equal(vec, params) for vec in vecs)
+
+    def test_the_broadcast_overwrites_the_local_models(self, small_dataset):
+        cfg = small_config()
+        _, clients, params, _ = setup_repeat(cfg, small_dataset, run_seed=1)
+        first, _ = clients.local_update(params, cfg.train, self.rngs(clients))
+        clients.params[:] = np.nan  # a stale stack leaves no trace in the next update
+        again, _ = clients.local_update(params, cfg.train, self.rngs(clients))
+        np.testing.assert_array_equal(again, first)
+        clients.local_update(params, TrainConfig(learning_rate=0.0), self.rngs(clients))
+        np.testing.assert_array_equal(clients.params, np.tile(params, (cfg.n_clients, 1)))

@@ -12,7 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from fedsim import ExperimentConfig, ServerState, resolve_synthetic, run_round, setup_repeat
+from fedsim import (
+    ExperimentConfig,
+    ServerState,
+    resolve_synthetic,
+    run_experiment,
+    run_round,
+    setup_repeat,
+)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -46,3 +53,22 @@ def test_round_attrs_count_the_rows_of_a_real_round():
     attrs = load_tracing()._round_attrs(args, kwargs, run_round(*args, **kwargs))
     assert attrs["data_rows"] == len(dataset)
     assert attrs["train_rows"] == sum(len(c.shard.train) for c in clients) * cfg.train.local_epochs
+
+
+def test_a_traced_round_records_its_training(monkeypatch):
+    # every trace point wrapped for this test alone, as Tracer.install wraps it for a run
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    for module_name, path, name, attrs in tracing.TRACE_POINTS:
+        owner = importlib.import_module(module_name)
+        *owners, attr = path.split(".")
+        for part in owners:
+            owner = getattr(owner, part)
+        monkeypatch.setattr(owner, attr, tracer.wrap(name, getattr(owner, attr), attrs))
+    dataset = resolve_synthetic("synth-small")
+    run_experiment(ExperimentConfig(dataset=dataset.name, n_clients=3, n_rounds=3, repeats=1,
+                                    hidden_dims=(8,)), dataset, threads=1)
+    assert tracing.layer_metrics(tracer.spans)["federation.local_update.calls"] == 3
+    rounds = {s["id"] for s in tracer.spans if s["name"] == "federation.run_round"}
+    updates = [s for s in tracer.spans if s["name"] == "federation.local_update"]
+    assert len(rounds) == 3 and all(s["parent"] in rounds for s in updates)
