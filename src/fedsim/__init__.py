@@ -32,7 +32,6 @@ from .federation import (
     ServerState,
     run_experiment,
     run_family,
-    run_repeat,
     run_round,
     setup_repeat,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "ServerState",
     "run_experiment",
     "run_family",
-    "run_repeat",
     "run_round",
     "setup_repeat",
     "ConfigError",

@@ -20,14 +20,13 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import NamedTuple
 
 from . import _blas
 from .aggregation import AggregationStrategy
 from .data import DatasetError, _read_text
-from .federation import ExperimentConfig, ExperimentResult, run_family, split_repeat
+from .federation import ExperimentConfig, ExperimentResult, FamilyResult, run_family, split_repeat
 from .federation import run_experiment  # noqa: F401  (a name perfbench/tracing.py wraps)
-from .manifest import GRID_AXES, GRID_PRESETS, SETTINGS, ConfigError, RunManifest
+from .manifest import GRID_AXES, GRID_PRESETS, SETTINGS, ConfigError, RunManifest, _directory
 from .metrics import METRIC_NAMES
 from .nn import TrainConfig
 
@@ -144,20 +143,11 @@ def format_summary_table(rows: list[dict[str, str]]) -> str:
     return format_table([*CELL_KEY, *(f"{m}_mean" for m in METRIC_NAMES)], rows)
 
 
-class FamilyRun(NamedTuple):
-    """One family of a grid run: its cells and their results, its wall time and rounds trained."""
-
-    cells: list[GridCell]
-    results: list[ExperimentResult | Exception]
-    wall_time: float
-    rounds_trained: int
-
-
 def run_cells(
-    manifest: RunManifest, configs: dict[GridCell, ExperimentConfig], threads: int = 1,
-    on_cell: Callable[[GridCell, ExperimentResult], None] | None = None,
-) -> tuple[list[dict[str, str]], dict[str, FamilyRun]]:
-    """Run the cells family by family; returns (summary rows, family runs by family name).
+    manifest: RunManifest, configs: dict[GridCell, ExperimentConfig], threads: int = 1, *,
+    on_cell: Callable[[GridCell, ExperimentResult], None],
+) -> tuple[list[dict[str, str]], dict[str, FamilyResult]]:
+    """Run the cells family by family; returns (summary rows, family results by family name).
 
     A family is the cells of one dataset and client count (``GridCell.family``).
     Its configs differ only in strategy and rounds, so ``run_family`` trains
@@ -172,21 +162,18 @@ def run_cells(
     for cell in configs:
         families.setdefault(cell.family(), []).append(cell)
 
-    def one(cells: list[GridCell], family_threads: int) -> FamilyRun:
-        start = time.perf_counter()
+    def one(cells: list[GridCell], family_threads: int) -> FamilyResult:
         try:
             family = run_family([configs[cell] for cell in cells],
                                 manifest.resolve_dataset(cells[0].dataset), threads=family_threads)
         except Exception as exc:  # noqa: BLE001 - it fails this family's cells alone
-            return FamilyRun(cells, [exc] * len(cells), time.perf_counter() - start, 0)
-        elapsed = time.perf_counter() - start
+            return FamilyResult([exc] * len(cells), 0, 0.0)
         for cell, result in zip(cells, family.results):
             if not isinstance(result, Exception):
-                log.info("done %-40s %6.1fs  acc=%.4f", cell.slug(), elapsed,
+                log.info("done %-40s %6.1fs  acc=%.4f", cell.slug(), family.wall_time,
                          result.summary()["accuracy"][0])
-                if on_cell is not None:
-                    on_cell(cell, result)
-        return FamilyRun(cells, family.results, elapsed, family.rounds_trained)
+                on_cell(cell, result)
+        return family
 
     if threads > 1 and len(families) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -194,7 +181,8 @@ def run_cells(
     else:
         runs = [one(cells, threads) for cells in families.values()]
 
-    results = {cell: result for run in runs for cell, result in zip(run.cells, run.results)}
+    results = {cell: result for cells, run in zip(families.values(), runs)
+               for cell, result in zip(cells, run.results)}
     for cell in configs:
         if isinstance(results[cell], Exception):
             raise results[cell]
@@ -215,18 +203,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from None
     # Every grid dataset is loaded, and every family repeat's holdout split and
     # client partition made, here, where an error exits before any output; the
-    # cells read the dataset from the manifest's cache.
-    for cell, config in configs.items():
-        n_features = manifest.resolve_dataset(cell.dataset).n_features
-        try:
-            config.check_input_width(n_features)
-        except ValueError as exc:
-            raise ConfigError(f"dataset '{cell.dataset}': {exc}") from None
+    # cells read the dataset from the manifest's cache. One config per family is
+    # checked: its cells share the dataset, the network widths and the splits.
     for config in {cell.family(): config for cell, config in configs.items()}.values():
+        dataset = manifest.resolve_dataset(config.dataset)
+        try:
+            config.check_input_width(dataset.n_features)
+        except ValueError as exc:
+            raise ConfigError(f"dataset '{config.dataset}': {exc}") from None
         for r in range(config.repeats):
-            split_repeat(config, manifest.resolve_dataset(config.dataset), config.master_seed + r)
+            split_repeat(config, dataset, config.master_seed + r)
     digest = run_hash(manifest, cells)
-    out_dir = Path(args.out) if args.out else manifest.output["dir"]
+    out_dir = manifest.output["dir"]
     created = not out_dir.exists()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -254,10 +242,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         "run_hash": digest,
         "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         # a cell's wall time is its family's, so the total sums families, not cells
-        "wall_time_s": {cell.slug(): round(run.wall_time, 3)
-                        for run in families.values() for cell in run.cells},
-        "total_wall_time_s": round(sum(run.wall_time for run in families.values()), 3),
-        "rounds_trained": {name: run.rounds_trained for name, run in families.items()},
+        "wall_time_s": {cell.slug(): round(families[cell.family()].wall_time, 3) for cell in cells},
+        "total_wall_time_s": round(sum(family.wall_time for family in families.values()), 3),
+        "rounds_trained": {name: family.rounds_trained for name, family in families.items()},
         "blas": {"library": _blas.blas_library(), "threads": blas_threads},
     }
     (out_dir / f"meta_{digest}.json").write_text(json.dumps(meta, indent=2) + "\n")
@@ -352,6 +339,11 @@ def _apply_overrides(manifest: RunManifest, args: argparse.Namespace) -> None:
     for name in SETTINGS:
         if getattr(args, name, None) is not None:
             manifest.settings[name] = getattr(args, name)
+    if args.out is not None:
+        try:
+            manifest.output["dir"] = _directory(args.out)
+        except ValueError as exc:
+            raise ConfigError(f"--out: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,7 +413,6 @@ __all__ = [
     "EXIT_RUNTIME",
     "EXIT_CONFIG",
     "GridCell",
-    "FamilyRun",
     "CELL_KEY",
     "SUMMARY_FIELDS",
     "expand_grid",

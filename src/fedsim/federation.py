@@ -371,6 +371,7 @@ class FamilyResult:
 
     results: list[ExperimentResult | Exception]
     rounds_trained: int  # run_round calls, each one training of the clients
+    wall_time: float  # seconds
 
 
 def run_family(cfgs: Sequence[ExperimentConfig], dataset: Dataset,
@@ -384,13 +385,20 @@ def run_family(cfgs: Sequence[ExperimentConfig], dataset: Dataset,
     server stopped in round k fails, from that repeat on, the configs of its
     strategy with k rounds or more, while its shorter configs complete. Later
     repeats run each server only to its longest config still running.
-    ``threads`` is as for ``run_repeat``.
+
+    Seed ``master_seed + r`` drives repeat r's holdout split, client
+    partition, common initial model and every client's training streams. The
+    clients of a round train on up to ``threads`` threads, by default one per
+    CPU this process may run on; the results do not depend on it. OpenBLAS
+    runs on one thread for the length of the call (see ``fedsim._blas``); the
+    caller's thread count is restored on return.
     """
     first = cfgs[0]
     for cfg in cfgs:
         if replace(cfg, strategy=first.strategy, n_rounds=first.n_rounds) != first:
             raise ValueError("a family's configs may differ only in strategy and n_rounds")
     threads = _usable_threads(threads)
+    family_start = time.perf_counter()
     results: list[list[RepeatResult] | Exception] = [[] for _ in cfgs]
     trained = 0
     for r in range(first.repeats):
@@ -417,33 +425,16 @@ def run_family(cfgs: Sequence[ExperimentConfig], dataset: Dataset,
                  dataset.name, first.n_clients, r + 1, first.repeats, repeat_trained, reported,
                  time.perf_counter() - start)
     return FamilyResult([result if isinstance(result, Exception) else ExperimentResult(result)
-                         for result in results], trained)
-
-
-def run_repeat(cfg: ExperimentConfig, dataset: Dataset, r: int,
-               threads: int | None = None) -> RepeatResult:
-    """Run repeat ``r`` of an experiment on an already-loaded dataset: a family of one.
-
-    Seed ``master_seed + r`` drives the holdout split, the client partition,
-    the common initial model and every client's training streams. The clients
-    of a round train on up to ``threads`` threads, by default one per CPU this
-    process may run on; the results do not depend on it. OpenBLAS runs on one
-    thread for the length of the call (see ``fedsim._blas``); the caller's
-    thread count is restored on return.
-    """
-    servers, _ = _run_servers(cfg, dataset, r, {cfg.strategy: cfg.n_rounds},
-                              _usable_threads(threads))
-    reports, error = servers[cfg.strategy]
-    if error is not None:
-        raise error
-    return RepeatResult(repeat=r, run_seed=cfg.master_seed + r, rounds=reports)
+                         for result in results], trained, time.perf_counter() - family_start)
 
 
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset,
                    threads: int | None = None) -> ExperimentResult:
     """Execute all repeats of an experiment on an already-loaded dataset: a family of one.
 
-    ``threads`` is as for ``run_repeat``.
+    ``threads`` is as for ``run_family``. Repeat r alone is the one repeat of
+    the config with ``master_seed + r`` and ``repeats=1``: the same rounds and
+    run seed, under repeat index 0.
     """
     (result,) = run_family([cfg], dataset, threads).results
     if isinstance(result, Exception):

@@ -61,6 +61,8 @@ class DenseNetwork:
     (layer_dims[k], layer_dims[k+1]), and ``biases[k]``, of shape
     (layer_dims[k+1],), are views into ``params``, so writing either changes
     the other. Hidden activations are ReLU, the output activation is sigmoid.
+    A contiguous float64 ``params`` is used as it is, not copied; a buffer of
+    the wrong length is a ValueError.
     """
 
     layer_dims: list[int]
@@ -80,30 +82,8 @@ class DenseNetwork:
         return self.layer_dims[0]
 
     @property
-    def n_layers(self) -> int:
-        return len(self.layer_dims) - 1
-
-    @property
     def n_params(self) -> int:
         return self.params.size
-
-    def copy(self) -> "DenseNetwork":
-        return DenseNetwork(self.layer_dims, self.params.copy())
-
-    def to_vector(self) -> np.ndarray:
-        """A copy of all parameters in the canonical ordering."""
-        return self.params.copy()
-
-    def set_vector(self, values: np.ndarray) -> None:
-        """Load parameters in place from a flat vector (inverse of to_vector)."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != self.params.shape:
-            raise ValueError(f"expected a flat vector of length {self.n_params}, got shape {values.shape}")
-        self.params[:] = values
-
-    @classmethod
-    def from_vector(cls, layer_dims: list[int], values: np.ndarray) -> "DenseNetwork":
-        return cls(layer_dims, np.array(values, dtype=np.float64))
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
         """Probability of the positive class for each row of ``batch``."""

@@ -25,7 +25,7 @@ from fedsim.data import Dataset
 from fedsim.federation import ExperimentConfig, ServerState, run_round
 from fedsim.manifest import ConfigError, RunManifest
 from fedsim.metrics import Confusion, accuracy, auc_rank, f1, fpr
-from fedsim.nn import init_network, loss_and_gradient
+from fedsim.nn import DenseNetwork, init_network, loss_and_gradient
 from fedsim.synth import resolve_synthetic
 
 MASTER_SEED = 42
@@ -84,22 +84,22 @@ def test_criterion_1_gradient_check():
         dims = [int(rng.integers(2, 6))] + [int(rng.integers(1, 5)) for _ in range(depth)]
         net = init_network(dims[0], dims[1:], seed=int(rng.integers(0, 2**31)))
         # generic parameters keep pre-activations off the exact ReLU kink
-        net.set_vector(rng.normal(scale=0.5, size=net.n_params))
+        net.params[:] = rng.normal(scale=0.5, size=net.n_params)
         X = rng.normal(size=(5, net.input_dim))
         y = rng.integers(0, 2, size=5)
         _, grad = loss_and_gradient(net, X, y)
 
-        base = net.to_vector()
+        base = net.params.copy()
         eps = 1e-5
         fd = np.empty_like(base)
-        probe = net.copy()
+        probe = DenseNetwork(net.layer_dims, base.copy())
         for i in range(base.size):
             bumped = base.copy()
             bumped[i] = base[i] + eps
-            probe.set_vector(bumped)
+            probe.params[:] = bumped
             up, _ = loss_and_gradient(probe, X, y)
             bumped[i] = base[i] - eps
-            probe.set_vector(bumped)
+            probe.params[:] = bumped
             down, _ = loss_and_gradient(probe, X, y)
             fd[i] = (up - down) / (2 * eps)
 
@@ -366,11 +366,11 @@ def test_criterion_10_privacy_boundary(monkeypatch):
         return dw_fedavg(models, idx, **kw)
 
     monkeypatch.setattr(federation, "dw_fedavg", spy_dw)
-    server = ServerState(cfg.strategy, net.to_vector(), PriorityIndex.uniform(3))
+    server = ServerState(cfg.strategy, net.params.copy(), PriorityIndex.uniform(3))
     run_round(server.params, stubs, [server], cfg, holdout=holdout, run_seed=1, round_num=1)
     rep = server.rounds[-1]
 
-    stub_ok = np.array_equal(getattr(stubs, "received", None), net.to_vector())
+    stub_ok = np.array_equal(getattr(stubs, "received", None), net.params)
     types_ok = all(isinstance(m, np.ndarray) and m.ndim == 1 for m in crossed)
     acc_ok = np.allclose(rep.client_local_acc, [0.5, 0.6, 0.7])
     report(10, not refs and stub_ok and types_ok and acc_ok,

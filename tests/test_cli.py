@@ -291,6 +291,17 @@ class TestRunCommand:
         assert err.startswith("error: ") and named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["", "  "])
+    def test_an_empty_out_is_exit_two_and_creates_no_directory(self, tmp_path, capsys,
+                                                               monkeypatch, value):
+        # an empty --out is the empty path that "[output] dir =" rejects, not "."
+        monkeypatch.chdir(tmp_path)
+        code = main(["run", "--dataset", "synth-small", "--clients", "3", "--rounds", "1",
+                     "--repeats", "1", "--out", value])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: --out: empty path\n"
+        assert not list(tmp_path.iterdir())
+
     # numpy warns of the overflow this run provokes on purpose
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_training_is_exit_one_without_summary(self, tmp_path, caplog):
@@ -834,6 +845,12 @@ class TestDocs:
         table = {(kind, key) for kind, keys in manifest_module._MANIFEST_KEYS.items()
                  for key in keys}
         assert named == table - {("defaults", "lr"), ("defaults", "seed")}
+
+    def test_readme_library_example_runs(self):
+        # its asserts tie a repeat run alone and a family result to the experiment
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library use\n", 1)[1]
+        exec(section.split("```python\n", 1)[1].split("```", 1)[0], {})
 
 
 class TestFormatting:

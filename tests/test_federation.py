@@ -1,4 +1,5 @@
 """Federated loop tests: round mechanics, determinism and seed derivation."""
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -18,7 +19,6 @@ from fedsim.federation import (
     derive_seed,
     run_experiment,
     run_family,
-    run_repeat,
     run_round,
     setup_repeat,
 )
@@ -258,11 +258,14 @@ class TestRunExperiment:
         assert set(stats) == {"accuracy", "f1", "auc", "fpr"}
 
     def test_a_repeat_run_alone_matches_it_inside_the_experiment(self, small_dataset):
+        # repeat r alone is the one repeat of the config seeded master_seed + r
         cfg = small_config(n_rounds=2, repeats=3)
         whole = run_experiment(cfg, small_dataset)
         for r in (2, 0):
-            alone, inside = run_repeat(cfg, small_dataset, r), whole.repeats[r]
-            assert (alone.repeat, alone.run_seed) == (inside.repeat, inside.run_seed) == (r, 11 + r)
+            shifted = dataclasses.replace(cfg, master_seed=cfg.master_seed + r, repeats=1)
+            (alone,), inside = run_experiment(shifted, small_dataset).repeats, whole.repeats[r]
+            assert (alone.repeat, inside.repeat) == (0, r)
+            assert alone.run_seed == inside.run_seed == 11 + r
             assert len(alone.rounds) == len(inside.rounds) == cfg.n_rounds
             for a, b in zip(alone.rounds, inside.rounds):
                 assert a.global_metrics == b.global_metrics

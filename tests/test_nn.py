@@ -36,18 +36,23 @@ def two_branch_sigmoid(z):
     return out
 
 
+def copy_of(net):
+    """A network over a copy of ``net``'s parameters."""
+    return DenseNetwork(net.layer_dims, net.params.copy())
+
+
 def finite_difference_grad(net, X, y, eps=1e-5):
     """Central differences of the loss over every flattened parameter."""
-    base = net.to_vector()
+    base = net.params.copy()
     grad = np.empty_like(base)
     for i in range(base.size):
-        probe = net.copy()
+        probe = copy_of(net)
         bumped = base.copy()
         bumped[i] = base[i] + eps
-        probe.set_vector(bumped)
+        probe.params[:] = bumped
         up, _ = loss_and_gradient(probe, X, y)
         bumped[i] = base[i] - eps
-        probe.set_vector(bumped)
+        probe.params[:] = bumped
         down, _ = loss_and_gradient(probe, X, y)
         grad[i] = (up - down) / (2.0 * eps)
     return grad
@@ -58,7 +63,7 @@ def train_for_local_epochs(net, X, y, cfg, seed):
 
     Returns (the trained copy, the last epoch's loss); net itself is left as it was.
     """
-    net = net.copy()
+    net = copy_of(net)
     rng = np.random.default_rng(seed)
     for _ in range(cfg.local_epochs):
         loss = sgd_epoch(net, X, y, cfg, rng)
@@ -74,7 +79,7 @@ def random_small_net(rng, generic_params=False):
         # downstream pre-activation exactly on the kink, where central
         # differences and the subgradient legitimately disagree. Generic
         # (continuous random) parameters avoid that measure-zero geometry.
-        net.set_vector(rng.normal(scale=0.5, size=net.n_params))
+        net.params[:] = rng.normal(scale=0.5, size=net.n_params)
     return net
 
 
@@ -83,8 +88,8 @@ class TestInit:
         net = init_network(215, [200, 100, 50], 42)
         expected = 215 * 200 + 200 + 200 * 100 + 100 + 100 * 50 + 50 + 50 * 1 + 1
         assert net.n_params == expected
-        assert net.to_vector().size == expected
-        assert net.n_layers == 4
+        assert net.params.size == expected
+        assert len(net.weights) == 4
 
     def test_degenerate_logistic_regression(self):
         net = init_network(2, [], 0)
@@ -117,44 +122,45 @@ class TestParamVector:
         rng = np.random.default_rng(0)
         for _ in range(100):
             net = random_small_net(rng)
-            vec = net.to_vector()
-            clone = DenseNetwork.from_vector(net.layer_dims, vec)
-            for wa, wb in zip(net.weights, clone.weights):
+            vec = net.params.copy()
+            rebuilt = DenseNetwork(net.layer_dims, vec)
+            for wa, wb in zip(net.weights, rebuilt.weights):
                 assert np.array_equal(wa, wb)
-            for ba, bb in zip(net.biases, clone.biases):
+            for ba, bb in zip(net.biases, rebuilt.biases):
                 assert np.array_equal(ba, bb)
-            assert np.array_equal(clone.to_vector(), vec)
+            assert np.array_equal(rebuilt.params, vec)
 
-    def test_set_vector_rejects_wrong_length(self):
+    def test_constructor_rejects_wrong_length(self):
         net = init_network(3, [2], 0)
         with pytest.raises(ValueError, match="length"):
-            net.set_vector(np.zeros(net.n_params + 1))
+            DenseNetwork([3, 2, 1], np.zeros(net.n_params + 1))
         with pytest.raises(ValueError, match="length"):
-            DenseNetwork.from_vector([3, 2, 1], np.zeros(net.n_params - 1))
+            DenseNetwork([3, 2, 1], np.zeros(net.n_params - 1))
 
     def test_layers_are_views_of_the_one_parameter_buffer(self):
         net = init_network(4, [3, 2], 1)
         buffer = net.params
         for arr in net.weights + net.biases:
             assert arr.base is buffer
-        net.set_vector(np.arange(net.n_params, dtype=float))
+        net.params[:] = np.arange(net.n_params, dtype=float)
         assert net.params is buffer
         assert net.weights[0][0].tolist() == [0.0, 1.0, 2.0]
         assert net.biases[0].tolist() == [12.0, 13.0, 14.0]
         net.weights[1][:] = -1.0
         assert np.all(net.params[15:21] == -1.0)
-        assert not np.shares_memory(net.copy().params, buffer)
+        assert not np.shares_memory(copy_of(net).params, buffer)
+        assert DenseNetwork(net.layer_dims, buffer).params is buffer  # wrapped, not copied
 
 
 class TestForward:
     def test_all_zero_parameters_give_half(self):
         net = init_network(4, [3], 0)
-        net.set_vector(np.zeros(net.n_params))
+        net.params[:] = 0.0
         out = net.forward(np.random.default_rng(0).normal(size=(6, 4)))
         assert np.all(out == 0.5)
 
     def test_single_layer_hand_case(self):
-        net = DenseNetwork.from_vector([2, 1], [1.0, 1.0, 0.0])
+        net = DenseNetwork([2, 1], [1.0, 1.0, 0.0])
         assert net.forward([[0.0, 0.0]])[0] == 0.5
 
     def test_matches_reference_pass(self):
@@ -191,13 +197,13 @@ class TestForward:
 
 class TestLossAndGradient:
     def test_confident_correct_prediction_loss_near_zero(self):
-        net = DenseNetwork.from_vector([1, 1], [30.0, 0.0])
+        net = DenseNetwork([1, 1], [30.0, 0.0])
         loss, _ = loss_and_gradient(net, [[1.0]], [1])
         assert 0.0 <= loss < 1e-6
 
     def test_half_probability_loss_is_ln_two(self):
         net = init_network(3, [2], 0)
-        net.set_vector(np.zeros(net.n_params))
+        net.params[:] = 0.0
         loss, _ = loss_and_gradient(net, [[0.2, 0.4, 0.6]], [1])
         assert loss == pytest.approx(np.log(2.0), rel=1e-12)
 
@@ -219,7 +225,7 @@ class TestLossAndGradient:
         depths = set()
         for _ in range(40):
             net = random_small_net(rng, generic_params=True)
-            depths.add(net.n_layers - 1)
+            depths.add(len(net.weights) - 1)
             X = rng.normal(size=(int(rng.integers(1, 9)), net.input_dim))
             y = rng.integers(0, 2, size=X.shape[0])
             clipped = np.clip(net.forward(X).reshape(-1, 1), PROB_CLIP, 1.0 - PROB_CLIP)
@@ -244,34 +250,34 @@ class TestSgd:
     def test_zero_learning_rate_is_identity(self):
         rng = np.random.default_rng(8)
         net = init_network(4, [3], 2)
-        before = net.to_vector()
+        before = net.params.copy()
         X = rng.normal(size=(20, 4))
         y = rng.integers(0, 2, size=20)
         sgd_epoch(net, X, y, TrainConfig(learning_rate=0.0), np.random.default_rng(1))
-        assert np.array_equal(net.to_vector(), before)
+        assert np.array_equal(net.params, before)
 
     def test_single_sample_single_batch_is_one_gradient_step(self):
         net = init_network(3, [2], 4)
         X = np.array([[0.5, -1.0, 2.0]])
         y = np.array([1])
         _, grad = loss_and_gradient(net, X, y)
-        expected = net.to_vector() - 0.1 * grad
-        stepped = net.copy()
+        expected = net.params - 0.1 * grad
+        stepped = copy_of(net)
         sgd_epoch(stepped, X, y, TrainConfig(learning_rate=0.1, batch_size=1),
                   np.random.default_rng(0))
-        assert np.array_equal(stepped.to_vector(), expected)
+        assert np.array_equal(stepped.params, expected)
 
     def test_trains_the_given_network_in_place(self):
         rng = np.random.default_rng(9)
         net = init_network(3, [2], 5)
         buffer, views = net.params, net.weights + net.biases
-        before = net.to_vector()
+        before = net.params.copy()
         loss = sgd_epoch(net, rng.normal(size=(10, 3)), rng.integers(0, 2, 10),
                          TrainConfig(), np.random.default_rng(0))
         assert type(loss) is float and np.isfinite(loss)
         assert net.params is buffer
         assert all(a is b for a, b in zip(net.weights + net.biases, views))
-        assert not np.array_equal(net.to_vector(), before)
+        assert not np.array_equal(net.params, before)
 
     def test_short_final_batch_is_trained_on(self):
         # 5 samples at batch_size 4 leaves a 1-sample tail; with lr > 0 the
@@ -280,15 +286,15 @@ class TestSgd:
         X = rng.normal(size=(5, 3))
         y = np.array([0, 1, 0, 1, 1])
         net = init_network(3, [], 6)
-        full = net.copy()
+        full = copy_of(net)
         sgd_epoch(full, X, y, TrainConfig(learning_rate=0.5, batch_size=4),
                   np.random.default_rng(3))
         # replay the same permutation by hand, stopping after the full batch
         perm = np.random.default_rng(3).permutation(5)
-        partial = net.copy()
+        partial = copy_of(net)
         _, g = loss_and_gradient(partial, X[perm[:4]], y[perm[:4]])
-        partial.set_vector(partial.to_vector() - 0.5 * g)
-        assert not np.array_equal(full.to_vector(), partial.to_vector())
+        partial.params -= 0.5 * g
+        assert not np.array_equal(full.params, partial.params)
 
     def test_epochs_match_a_reference_loop_bit_for_bit(self):
         # 70 rows at batch_size 32 leave a 6-row tail batch in every epoch
@@ -297,7 +303,7 @@ class TestSgd:
         y = rng.integers(0, 2, size=70)
         cfg = TrainConfig(learning_rate=0.3, batch_size=32)
         net = init_network(5, [6, 4], 7)
-        trained, ref = net.copy(), net.copy()
+        trained, ref = copy_of(net), copy_of(net)
         train_rng, ref_rng = np.random.default_rng(14), np.random.default_rng(14)
         for _ in range(3):
             loss = sgd_epoch(trained, X, y, cfg, train_rng)
@@ -426,7 +432,7 @@ class TestSgd:
         net = init_network(4, [3], 9)
         a, _ = train_for_local_epochs(net, X, y, cfg, 21)
         b, _ = train_for_local_epochs(net, X, y, cfg, 21)
-        assert np.array_equal(a.to_vector(), b.to_vector())
+        assert np.array_equal(a.params, b.params)
 
     def test_separable_toy_set_reaches_full_accuracy(self):
         ds = make_two_cluster(n_samples=200, seed=0)
@@ -442,7 +448,7 @@ class TestSgd:
         y = rng.integers(0, 2, size=100)
         net = init_network(10, [8, 4], 3)
         trained, loss = train_for_local_epochs(net, X, y, TrainConfig(local_epochs=10), 4)
-        assert np.isfinite(trained.to_vector()).all()
+        assert np.isfinite(trained.params).all()
         assert np.isfinite(loss)
 
     def test_empty_train_set_rejected(self):
@@ -454,12 +460,12 @@ class TestSgd:
 class TestPredictLabels:
     def test_exact_half_probability_is_malware(self):
         net = init_network(4, [3], 0)
-        net.set_vector(np.zeros(net.n_params))
+        net.params[:] = 0.0
         assert np.all(predict_labels(net, np.zeros((5, 4))) == 1)
 
     def test_threshold_separates(self):
         # logistic identity: w=1, b=0, so inputs are the logits
-        net = DenseNetwork.from_vector([1, 1], [1.0, 0.0])
+        net = DenseNetwork([1, 1], [1.0, 0.0])
         logit = lambda p: np.log(p / (1.0 - p))
         out = predict_labels(net, [[logit(0.2)], [logit(0.9)]])
         assert out.tolist() == [0, 1]
