@@ -64,7 +64,13 @@ DEFAULT_LABEL_MAP: dict[str, int] = {
 
 @dataclass
 class Dataset:
-    """An in-memory feature table with binary labels (1 = malware)."""
+    """An in-memory feature table with binary labels (1 = malware).
+
+    ``features`` is (rows, features), float64 or, for a table of small
+    integers such as 0/1 indicators, uint8 (see ``narrow_table``): training
+    and scoring cast only the rows they read to float64, so either dtype
+    gives the same bits.
+    """
 
     name: str
     features: np.ndarray
@@ -335,13 +341,42 @@ def _check_known_profile(ds: Dataset) -> None:
 def min_max_scale(ds: Dataset) -> Dataset:
     """Scale ``ds.features`` column-wise to [0, 1] in place; constant columns map to 0.
 
-    Returns ``ds``. Copy the features first to keep the raw values.
+    Returns ``ds``. Copy the features first to keep the raw values. A table
+    that is not float64, such as a surrogate's uint8 table, is replaced by a
+    scaled float64 copy.
     """
+    if ds.features.dtype != np.float64:
+        ds.features = ds.features.astype(np.float64)
     lo = ds.features.min(axis=0)
     hi = ds.features.max(axis=0)
     ds.features -= lo
     ds.features /= np.where(hi > lo, hi - lo, 1.0)
     return ds
+
+
+# Rows per block when narrowing a table: a block's checks stay in cache and make
+# no table-sized temporary.
+_NARROW_ROWS = 256
+
+
+def narrow_table(features: np.ndarray) -> np.ndarray:
+    """A float64 table as uint8 when every value is an integer in 0..255 that casts back to its
+    own float64 bits, else the table itself.
+
+    So a 0/1 indicator table takes one byte per cell, while a table with a
+    fraction, a value outside 0..255 or a -0.0 stays float64.
+    """
+    if features.dtype != np.float64:
+        return features
+    narrow = np.empty(features.shape, dtype=np.uint8)
+    for start in range(0, len(features), _NARROW_ROWS):
+        block, out = features[start : start + _NARROW_ROWS], narrow[start : start + _NARROW_ROWS]
+        if block.size and not (block.min() >= 0.0 and block.max() <= 255.0):  # nan fails both
+            return features
+        np.copyto(out, block, casting="unsafe")
+        if not np.array_equal(out.astype(np.float64).view(np.uint64), block.view(np.uint64)):
+            return features
+    return narrow
 
 
 def _per_class_test_indices(labels: np.ndarray, fraction: float,

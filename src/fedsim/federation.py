@@ -17,6 +17,8 @@ The clients of a repeat are one ``ClientState``, their models the rows of one
 stack into contiguous groups of clients, one per thread, and trains each group
 as one ``nn.sgd_epochs`` call. Each client's arithmetic is the one it would do
 alone, so results depend neither on the stack nor on the thread count.
+``setup_repeat`` checks the table's labels once; training reads the table in
+the dtype it is held in and casts only the rows it gathers.
 """
 from __future__ import annotations
 
@@ -34,7 +36,8 @@ from ._blas import one_blas_thread
 from .aggregation import AggregationStrategy, PriorityIndex, dw_fedavg, fedavg, update_priority_index
 from .data import ClientShard, Dataset, holdout_split, partition_clients
 from .metrics import METRIC_NAMES, MetricSet, evaluate_scores
-from .nn import DenseNetwork, TrainConfig, _param_count, init_network, predict_labels, sgd_epochs
+from .nn import (DenseNetwork, TrainConfig, _check_labels, _param_count, init_network,
+                 predict_labels, sgd_epochs)
 from .nn import sgd_epoch  # noqa: F401  (a name perfbench/tracing.py wraps)
 
 # spawn-key domains for deriving independent RNG streams from one run seed
@@ -115,8 +118,9 @@ def _train_stack(stack: np.ndarray, clients: Sequence[Client], layer_dims: list[
                  cfg: TrainConfig, rngs) -> list[float]:
     """Train the rows of ``stack``, one per client, in place and return their local test accuracies.
 
-    Every shard indexes one shared table. Raises FloatingPointError, naming
-    the lowest such client id, if training left a parameter non-finite.
+    Every shard indexes one shared table, whose labels ``setup_repeat``
+    checked. Raises FloatingPointError, naming the lowest such client id, if
+    training left a parameter non-finite.
     """
     data = clients[0].shard.data
     grad = np.empty_like(stack)
@@ -306,9 +310,12 @@ def setup_repeat(
 ) -> tuple[Dataset, ClientState, np.ndarray, PriorityIndex]:
     """Split, shard and initialize one repeat; returns (holdout, clients, params, index).
 
-    The holdout is the one copy of feature rows; the shards index ``dataset``.
-    The clients' stack is left unset: every round's broadcast overwrites it.
+    The holdout is the one copy of feature rows, in the table's dtype; the
+    shards index ``dataset``. The labels are checked to be 0/1 here, once
+    per repeat, not by each training call. The clients' stack is left unset:
+    every round's broadcast overwrites it.
     """
+    _check_labels(dataset.labels, len(dataset.features))
     test, shards = split_repeat(cfg, dataset, run_seed)
     holdout = Dataset(dataset.name, dataset.features[test], dataset.labels[test])
     global_net = init_network(dataset.features.shape[1], list(cfg.hidden_dims),

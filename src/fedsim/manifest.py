@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .aggregation import AggregationStrategy
-from .data import KNOWN_DATASETS, Dataset, _read_text, load_csv, min_max_scale
+from .data import KNOWN_DATASETS, Dataset, _read_text, load_csv, min_max_scale, narrow_table
 from .federation import ExperimentConfig
 from .nn import TrainConfig
 from .synth import SURROGATES, resolve_synthetic
@@ -210,7 +210,10 @@ class RunManifest:
         if entry is None:
             return resolve_synthetic(key)
         ds = load_csv(entry.path, entry.label_column, entry.label_map, name=key)
-        return min_max_scale(ds) if entry.scale else ds
+        if entry.scale:
+            min_max_scale(ds)
+        ds.features = narrow_table(ds.features)
+        return ds
 
 
 def _first_file(candidates) -> Path | None:

@@ -22,7 +22,9 @@ one. Each network's arithmetic is the one it would do alone, bit for bit.
 While every network still has a whole batch, an ``sgd_epochs`` step gathers
 all batches with one ``take`` and trains the whole stack; only an epoch's
 ragged tail gathers network by network. Layer views are built once per call,
-and the loss is computed only when the caller reads it.
+and the loss is computed only when the caller reads it. ``sgd_epochs`` reads
+the shared table in the dtype it is held in (a 0/1 table as uint8) and casts
+only each gathered batch to float64, so training never copies the table.
 """
 from __future__ import annotations
 
@@ -229,9 +231,15 @@ def sgd_epochs(stack: np.ndarray, layer_dims: list[int], X, y, rows, cfg: TrainC
     whose batches have equal size trains as one stack. ``grad`` is scratch of
     the stack's shape. Returns each network's mean per-sample loss over the
     epoch, or None without computing any loss when ``loss`` is false.
+
+    Only shapes are checked: ``y`` must already hold 0/1 labels (see
+    ``_check_labels``). ``X`` is read in its own dtype: each batch is
+    gathered in that dtype and cast to float64 as it enters the step.
     """
-    X = _check_batch(X, layer_dims[0])
-    y = _check_labels(y, X.shape[0])
+    X, y = np.asarray(X), np.asarray(y)
+    if X.ndim != 2 or X.shape[1] != layer_dims[0] or y.shape != X.shape[:1]:
+        raise ValueError(f"expected a table of shape (n, {layer_dims[0]}) and n labels, "
+                         f"got {X.shape} and {y.shape}")
     sizes = np.array([r.size for r in rows])
     if not sizes.all():
         raise ValueError("cannot train on an empty set")
@@ -239,25 +247,29 @@ def sgd_epochs(stack: np.ndarray, layer_dims: list[int], X, y, rows, cfg: TrainC
     order = np.zeros((len(rows), sizes.max()), dtype=np.intp)  # shuffled rows, zero-padded
     for g, (rng, r) in enumerate(zip(rngs, rows)):
         order[g, : r.size] = r[rng.permutation(r.size)]
-    y_perm = y.take(order)  # raises on a row out of range, before any training
+    # raises on a row out of range, before any training
+    y_perm = y.take(order).astype(np.float64, copy=False)
     batch = np.empty((len(rows), min(bs, sizes.max()), layer_dims[0]))
+    # take writes only to an out= of the table's dtype, so batches gather into scratch
+    gathered = np.empty(batch.shape, X.dtype)
     views, grad_views = _layer_views(stack, layer_dims), _layer_views(grad, layer_dims)
     loss_sum = np.zeros(len(rows))
     whole = sizes.min() // bs * bs  # every network has a whole batch at each step before this
     for start in range(0, sizes.max(), bs):
         if start < whole:
             # "wrap" reads the rows y.take read, negative ones too; "raise" would buffer out
-            X.take(order[:, start : start + bs], axis=0, out=batch, mode="wrap")
+            X.take(order[:, start : start + bs], axis=0, out=gathered, mode="wrap")
             runs = [(0, len(rows), bs, views, grad_views)]
         else:  # the ragged tail: a gather per network, a stack per run of equal batch sizes
             batch_sizes = (sizes - start).clip(0, bs)
             for row in np.flatnonzero(batch_sizes):
                 X.take(order[row, start : start + batch_sizes[row]], axis=0,
-                       out=batch[row, : batch_sizes[row]], mode="wrap")
+                       out=gathered[row, : batch_sizes[row]], mode="wrap")
             edges = [0, *(np.flatnonzero(np.diff(batch_sizes)) + 1), len(rows)]
             runs = [(lo, hi, int(batch_sizes[lo]), _layer_views(stack[lo:hi], layer_dims),
                      _layer_views(grad[lo:hi], layer_dims))
                     for lo, hi in zip(edges[:-1], edges[1:]) if batch_sizes[lo]]
+        batch[...] = gathered
         for lo, hi, n, run_views, run_grad_views in runs:
             batch_loss = _backward(run_views, batch[lo:hi, :n], y_perm[lo:hi, start : start + n],
                                    run_grad_views, loss)
@@ -275,6 +287,8 @@ def sgd_epoch(net: DenseNetwork, X, y, cfg: TrainConfig, rng: np.random.Generato
     from ``rng``; the final short batch is trained on like any other. This is
     ``sgd_epochs`` on a stack of one network.
     """
+    X = _check_batch(X, net.input_dim)
+    y = _check_labels(y, X.shape[0])
     stack = net.params[None]
     return float(sgd_epochs(stack, net.layer_dims, X, y, [np.arange(len(X))], cfg, [rng],
                             np.empty_like(stack))[0])

@@ -63,7 +63,7 @@ def make_indicator_dataset(spec: SurrogateSpec, seed: int, name: str = "syntheti
     firing rate for one class, low for the other); the remaining features fire
     at a shared background rate. Observed labels equal the latent class except
     for a ``label_noise`` fraction of flipped rows, which caps attainable
-    accuracy at roughly 1 - label_noise.
+    accuracy at roughly 1 - label_noise. The table is held as uint8.
     """
     rng = np.random.default_rng(seed)
     latent = np.zeros(spec.n_samples, dtype=np.int64)
@@ -80,7 +80,7 @@ def make_indicator_dataset(spec: SurrogateSpec, seed: int, name: str = "syntheti
         rates[hot, col] = high[j]
         rates[1 - hot, col] = low[j]
 
-    features = (rng.random((spec.n_samples, spec.n_features)) < rates[latent]).astype(np.float64)
+    features = _indicators(rng, rates, latent)
     labels = latent.copy()
     flips = rng.random(spec.n_samples) < spec.label_noise
     labels[flips] = 1 - labels[flips]
@@ -91,6 +91,25 @@ def make_indicator_dataset(spec: SurrogateSpec, seed: int, name: str = "syntheti
         labels=labels,
         feature_names=[f"f{j}" for j in range(spec.n_features)],
     )
+
+
+# Rows drawn per block: a block's uniform draws are its only float64 temporary.
+_BLOCK_ROWS = 1024
+
+
+def _indicators(rng: np.random.Generator, rates: np.ndarray, latent: np.ndarray) -> np.ndarray:
+    """``rng.random((n, d)) < rates[latent]`` as a uint8 table, drawn ``_BLOCK_ROWS`` rows at a time.
+
+    A generator fills a (rows, d) draw from one stream in row-major order,
+    so the blocks draw the values, and leave ``rng`` in the state, of the
+    one (n, d) draw.
+    """
+    out = np.empty((latent.size, rates.shape[1]), dtype=np.uint8)
+    for start in range(0, latent.size, _BLOCK_ROWS):
+        block = latent[start : start + _BLOCK_ROWS]
+        np.less(rng.random((block.size, rates.shape[1])), rates[block],
+                out=out[start : start + block.size])
+    return out
 
 
 def make_two_cluster(n_samples: int = 400, seed: int = 0, separation: float = 4.0) -> Dataset:

@@ -603,6 +603,15 @@ class TestScalingAndDataset:
         scaled = min_max_scale(Dataset(name="x", features=X, labels=np.zeros(40, np.int64)))
         assert scaled.features.tobytes() == expected.tobytes()
 
+    def test_a_uint8_table_scales_as_its_float64_copy(self):
+        X = np.random.default_rng(4).integers(0, 2, size=(40, 5), dtype=np.uint8)
+        X[:, 2] = 1
+        expected = min_max_scale(Dataset(name="x", features=X.astype(np.float64),
+                                         labels=np.zeros(40, np.int64))).features
+        scaled = min_max_scale(Dataset(name="x", features=X, labels=np.zeros(40, np.int64)))
+        assert scaled.features.dtype == np.float64
+        assert scaled.features.tobytes() == expected.tobytes()
+
     def test_constant_column_maps_to_zero(self):
         ds = Dataset(name="x", features=np.array([[3.0, 1.0], [3.0, 2.0]]),
                      labels=np.array([0, 1]))

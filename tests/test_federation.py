@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from fedsim import federation
+from fedsim import cli, federation, nn
 from fedsim.aggregation import AggregationStrategy, PriorityIndex, dw_fedavg, update_priority_index
 from fedsim.data import Dataset
 from fedsim.federation import (
@@ -211,17 +211,76 @@ class TestSetupRepeat:
         assert holdout.features.tobytes() == small_dataset.features[rest].tobytes()
         assert holdout.labels.tobytes() == small_dataset.labels[rest].tobytes()
 
-    def test_the_holdout_is_the_only_copy_of_feature_rows(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8], ids=["float64", "uint8"])
+    def test_the_holdout_is_the_only_copy_of_feature_rows(self, dtype):
         ds = resolve_synthetic("synth-drebin")
+        ds = Dataset(ds.name, ds.features.astype(dtype), ds.labels)
         cfg = ExperimentConfig(dataset=ds.name, n_clients=5)
         tracemalloc.start()
         try:
-            setup_repeat(cfg, ds, run_seed=42)
+            holdout, clients, params, _ = setup_repeat(cfg, ds, run_seed=42)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the holdout alone is 0.2 of the features
-        assert peak < 0.5 * ds.features.nbytes
+        assert holdout.features.dtype == dtype
+        if dtype is np.float64:
+            # the holdout alone is 0.2 of the features
+            assert peak < 0.5 * ds.features.nbytes
+        else:
+            # a byte per cell is small next to the networks: beyond the holdout, the
+            # clients' stack and the global vector, less than half a copy of the table
+            held = holdout.features.nbytes + clients.params.nbytes + params.nbytes
+            assert peak < held + 0.5 * ds.features.nbytes
+
+    def test_the_labels_are_checked_once_per_repeat(self, small_dataset, monkeypatch):
+        counts = {"setup": 0, "training": 0}
+        real = nn._check_labels
+
+        def counting(key):
+            def check(*args):
+                counts[key] += 1
+                return real(*args)
+            return check
+
+        monkeypatch.setattr(federation, "_check_labels", counting("setup"))
+        monkeypatch.setattr(nn, "_check_labels", counting("training"))
+        run_experiment(small_config(n_rounds=3, repeats=2, train=TrainConfig(local_epochs=2)),
+                       small_dataset, threads=2)
+        assert counts == {"setup": 2, "training": 0}
+
+    def test_labels_that_are_not_0_1_are_rejected_at_set_up(self, small_dataset):
+        bad = Dataset(small_dataset.name, small_dataset.features, small_dataset.labels * 2)
+        with pytest.raises(ValueError, match="0/1"):
+            setup_repeat(small_config(), bad, run_seed=5)
+
+
+class TestTableDtype:
+    """A 0/1 table held as uint8 trains and scores to the bits of its float64 copy."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_uint8_family_matches_its_float64_copy(self, small_dataset, threads, tmp_path):
+        assert small_dataset.features.dtype == np.uint8
+        wide = Dataset(small_dataset.name, small_dataset.features.astype(np.float64),
+                       small_dataset.labels)
+        # 6 clients hold 85 or 86 training rows: every epoch ends in a step of 21- and
+        # 22-row batches, which gathers client by client
+        cfgs = [small_config(n_clients=6, strategy=strategy, n_rounds=rounds, repeats=2)
+                for strategy in AggregationStrategy for rounds in (1, 3)]
+        outputs = []
+        for ds in (small_dataset, wide):
+            family = run_family(cfgs, ds, threads)
+            assert not any(isinstance(r, Exception) for r in family.results)
+            files = []
+            for i, (cfg, result) in enumerate(zip(cfgs, family.results)):
+                cell = cli.GridCell(ds.name, cfg.n_clients, cfg.n_rounds, cfg.strategy)
+                path = tmp_path / f"rounds_{ds.features.dtype}_{i}.csv"
+                cli.write_round_log(path, cell, result)
+                files.append((path.read_bytes(), cli.summary_row(cell, result),
+                              [(report.global_metrics, report.client_local_acc.tobytes(),
+                                report.betas_after_update.tobytes())
+                               for repeat in result.repeats for report in repeat.rounds]))
+            outputs.append(files)
+        assert outputs[0] == outputs[1]
 
 
 class TestRunExperiment:
@@ -369,7 +428,8 @@ class TestThreads:
         # clients 3 and 4 of 5 overflow: at 2 threads both sit in the helper's
         # group, at 3 and 5 threads each in a group of its own
         cfg = small_config(n_clients=5)
-        blown = Dataset(small_dataset.name, small_dataset.features.copy(), small_dataset.labels)
+        blown = Dataset(small_dataset.name, small_dataset.features.astype(np.float64),
+                        small_dataset.labels)
         _, clients, params, _ = setup_repeat(cfg, blown, run_seed=5)
         for client in clients[3:]:
             blown.features[client.shard.train] = 1e300

@@ -11,6 +11,7 @@ import pytest
 from fedsim import manifest as manifest_module
 from fedsim.aggregation import AggregationStrategy
 from fedsim.cli import GridCell, expand_grid
+from fedsim.data import load_csv, min_max_scale
 from fedsim.manifest import GRID_AXES, ConfigError, RunManifest
 
 
@@ -258,6 +259,31 @@ class TestResolve:
             tracemalloc.stop()
         assert ds.features.shape == (4000, 59) and ds.features.max() == 1.0
         assert peak < 1.8 * ds.features.nbytes
+
+    @pytest.mark.parametrize("cells, scale, dtype", [
+        (("0", "1"), False, np.uint8),
+        (("0", "7", "255"), False, np.uint8),
+        (("0", "1"), True, np.uint8),  # scaling a 0/1 column leaves it 0/1
+        (("0", "0.5"), False, np.float64),
+        (("0", "256"), False, np.float64),
+        (("-1", "1"), False, np.float64),
+        (("-0.0", "1"), False, np.float64),  # equal to 0, but not its bits
+        (("0", "3", "9"), True, np.float64),  # a scaled count column holds fractions
+    ])
+    def test_a_loaded_table_is_held_as_uint8_when_its_values_allow(self, tmp_path, cells, scale, dtype):
+        lines = [f"{cells[i % len(cells)]},{i % 2},{'BS'[i // 2 % 2]}" for i in range(12)]
+        (tmp_path / "toy.csv").write_text("f0,f1,class\n" + "\n".join(lines) + "\n",
+                                          encoding="utf-8")
+        m = RunManifest.load(write_manifest(
+            tmp_path, f"[dataset.toy]\npath = toy.csv\nscale = {str(scale).lower()}\n"))
+        ds = m.resolve_dataset("toy")
+        assert ds.features.dtype == dtype
+        # the load itself stays float64, and the held table has its values to the bit
+        loaded = load_csv(tmp_path / "toy.csv", "class")
+        assert loaded.features.dtype == np.float64
+        if scale:
+            min_max_scale(loaded)
+        assert ds.features.astype(np.float64).tobytes() == loaded.features.tobytes()
 
     def test_missing_entry_path_names_the_entry(self, tmp_path):
         m = RunManifest.load(write_manifest(tmp_path, FULL_MANIFEST))

@@ -1,4 +1,6 @@
 """Network unit tests: shapes, forward oracle, gradients, SGD behavior."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -423,6 +425,46 @@ class TestSgd:
                        TrainConfig(batch_size=7), [np.random.default_rng(1)],
                        np.empty_like(net.params[None]))
         assert net.params.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("sizes, batch_size", [((64, 96, 32), 32), ((70, 64, 100), 32),
+                                                   ((5, 9, 7), 16)])
+    def test_a_uint8_table_trains_like_its_float64_copy(self, sizes, batch_size):
+        rng = np.random.default_rng(22)
+        X = rng.integers(0, 2, size=(sum(sizes), 5), dtype=np.uint8)
+        y = rng.integers(0, 2, size=sum(sizes))
+        rows = np.split(rng.permutation(sum(sizes)), np.cumsum(sizes)[:-1])
+        cfg = TrainConfig(learning_rate=0.3, batch_size=batch_size)
+        start = np.array([init_network(5, [6, 4], seed).params for seed in range(len(sizes))])
+        out = []
+        for table in (X, X.astype(np.float64)):
+            stack, rngs = start.copy(), [np.random.default_rng(s) for s in range(len(sizes))]
+            losses = [sgd_epochs(stack, [5, 6, 4, 1], table, y, rows, cfg, rngs,
+                                 np.empty_like(stack)) for _ in range(2)]
+            out.append((stack.tobytes(), np.array(losses).tobytes()))
+        assert out[0] == out[1]
+
+    def test_a_uint8_table_is_not_copied_to_float64(self):
+        # a float64 copy of this table is 8 MB; what one epoch needs besides is under 1 MB
+        rng = np.random.default_rng(23)
+        X = rng.integers(0, 2, size=(16384, 64), dtype=np.uint8)
+        y = rng.integers(0, 2, size=len(X)).astype(np.float64)
+        stack = np.array([init_network(64, [8], seed).params for seed in range(4)])
+        tracemalloc.start()
+        try:
+            sgd_epochs(stack, [64, 8, 1], X, y, np.split(np.arange(len(X)), 4), TrainConfig(),
+                       [np.random.default_rng(s) for s in range(4)], np.empty_like(stack))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * X.size * 8
+
+    def test_a_table_of_the_wrong_shape_is_rejected(self):
+        net = init_network(5, [3], 0)
+        for X, y in ((np.zeros((10, 4)), np.zeros(10)), (np.zeros((10, 5)), np.zeros(9)),
+                     (np.zeros(10), np.zeros(10))):
+            with pytest.raises(ValueError, match="expected a table of shape"):
+                sgd_epochs(net.params[None], net.layer_dims, X, y, [np.arange(5)], TrainConfig(),
+                           [np.random.default_rng(0)], np.empty_like(net.params[None]))
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(11)

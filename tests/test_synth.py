@@ -1,11 +1,15 @@
 """Synthetic dataset generator tests."""
+import hashlib
+
 import numpy as np
 import pytest
 
+from fedsim import synth
 from fedsim.data import KNOWN_DATASETS
 from fedsim.synth import (
     SURROGATES,
     SurrogateSpec,
+    _indicators,
     make_indicator_dataset,
     make_two_cluster,
     resolve_synthetic,
@@ -69,6 +73,26 @@ class TestIndicatorGenerator:
         votes = ds.features @ (pos_rate - neg_rate)
         pred = (votes > np.median(votes)).astype(int)
         assert np.mean(pred == ds.labels) > 0.8
+
+    def test_blocks_draw_the_one_shot_table(self, monkeypatch):
+        monkeypatch.setattr(synth, "_BLOCK_ROWS", 5)  # blocks of 5, 5, 5, 5 and 3 rows
+        rng = np.random.default_rng(5)
+        rates, latent = rng.uniform(size=(2, 6)), rng.integers(0, 2, 23)
+        blocked, one_shot = np.random.default_rng(9), np.random.default_rng(9)
+        table = _indicators(blocked, rates, latent)
+        assert table.dtype == np.uint8
+        expected = (one_shot.random((23, 6)) < rates[latent]).astype(np.uint8)
+        assert table.tobytes() == expected.tobytes()
+        assert blocked.random() == one_shot.random()  # both generators are left in one state
+
+    def test_a_surrogate_keeps_its_values_as_uint8(self):
+        # the sha256 of synth-drebin's features as float64 and of its int64 labels
+        ds = resolve_synthetic("synth-drebin")
+        assert ds.features.dtype == np.uint8
+        assert hashlib.sha256(ds.features.astype(np.float64).tobytes()).hexdigest() == (
+            "451ba32b41f9ea14e3864f4e2e8273b0bba4e9b2ec331c60e2ab42afe43b60c3")
+        assert hashlib.sha256(ds.labels.astype(np.int64).tobytes()).hexdigest() == (
+            "290b77695426c4653a06022acc7b48d1b0d0fbdd8c0b63a79ed1c4044c08c4af")
 
     def test_surrogate_spec_validation(self):
         with pytest.raises(ValueError, match="sum to n_samples"):
