@@ -325,29 +325,34 @@ def setup_repeat(
     return holdout, clients, global_net.params, PriorityIndex.uniform(cfg.n_clients, cfg.alpha)
 
 
-def _run_servers(
-    cfg: ExperimentConfig, dataset: Dataset, r: int, horizons: dict[AggregationStrategy, int],
-    threads: int,
-) -> tuple[dict[AggregationStrategy, tuple[list[RoundReport], Exception | None]], int]:
-    """Repeat ``r`` of one client population and a server per strategy.
+def _run_servers(cfgs: Sequence[ExperimentConfig], dataset: Dataset, r: int,
+                 threads: int) -> tuple[list[RepeatResult | Exception], int]:
+    """Repeat ``r`` of the family ``cfgs``: one client population and a server per strategy.
 
-    Returns ({strategy: (its server's reports, the error that stopped it)},
-    the number of trainings), and keeps no global vector.
+    Returns, per config in order, its ``RepeatResult`` or the error that
+    stopped its server before its last round, and the number of trainings.
+    No global vector is kept, and nothing of any other repeat is read.
 
-    The server of strategy s runs ``horizons[s]`` rounds, or fewer if a round
-    stops it. Every round, the servers whose global vectors are bitwise equal
-    share one ``run_round`` call, so their clients train once: the same
-    broadcast and the same per-(run seed, round, client) streams give the
-    same training. ``cfg``'s strategy and round count are not read.
+    The server of strategy s runs the longest round count among s's configs,
+    in every repeat, or fewer if a round stops it; a config of R rounds reads
+    its server's first R reports. Every round, the servers whose global
+    vectors are bitwise equal share one ``run_round`` call, so their clients
+    train once: the same broadcast and the same per-(run seed, round, client)
+    streams give the same training.
     """
-    run_seed = cfg.master_seed + r
+    first = cfgs[0]
+    horizons = {s: max(cfg.n_rounds for cfg in cfgs if cfg.strategy is s)
+                for s in dict.fromkeys(cfg.strategy for cfg in cfgs)}
+    run_seed = first.master_seed + r
+    start = time.perf_counter()
     trained = 0
     with one_blas_thread():
-        holdout, clients, params, idx = setup_repeat(cfg, dataset, run_seed)
-        servers = [ServerState(strategy, params, idx) for strategy in horizons]
+        holdout, clients, params, idx = setup_repeat(first, dataset, run_seed)
+        servers = {strategy: ServerState(strategy, params, idx) for strategy in horizons}
         del params  # the servers' first round replaces it
         for round_num in range(1, max(horizons.values()) + 1):
-            live = [s for s in servers if s.error is None and round_num <= horizons[s.strategy]]
+            live = [s for s in servers.values()
+                    if s.error is None and round_num <= horizons[s.strategy]]
             # one group per distinct vector, led by its first server; made before any round runs
             groups = [[s for s in live if np.array_equal(s.params, lead.params)]
                       for i, lead in enumerate(live)
@@ -355,12 +360,20 @@ def _run_servers(
             for group in groups:
                 trained += 1
                 try:
-                    run_round(group[0].params, clients, group, cfg, holdout=holdout,
+                    run_round(group[0].params, clients, group, first, holdout=holdout,
                               run_seed=run_seed, round_num=round_num, threads=threads)
                 except Exception as exc:  # noqa: BLE001 - training failed for the whole group
                     for server in group:
                         server.error = exc
-    return {server.strategy: (server.rounds, server.error) for server in servers}, trained
+    # a config whose server stopped within its rounds gets the server's error
+    results = [RepeatResult(r, run_seed, rounds)
+               if len(rounds := servers[cfg.strategy].rounds[:cfg.n_rounds]) == cfg.n_rounds
+               else servers[cfg.strategy].error for cfg in cfgs]
+    log.info("family %s c%d repeat %d/%d: %d rounds trained for %d reported, %.1fs",
+             dataset.name, first.n_clients, r + 1, first.repeats, trained,
+             sum(len(result.rounds) for result in results if isinstance(result, RepeatResult)),
+             time.perf_counter() - start)
+    return results, trained
 
 
 def _usable_threads(threads: int | None) -> int:
@@ -385,13 +398,12 @@ def run_family(cfgs: Sequence[ExperimentConfig], dataset: Dataset,
                threads: int | None = None) -> FamilyResult:
     """Run configs that differ only in strategy and n_rounds, sharing their client training.
 
-    Each repeat sets up one client population and one server per strategy,
-    run to the longest round count among that strategy's configs; a config
-    of R rounds reads its server's first R rounds. Every result is the one
+    Each repeat is one ``_run_servers`` call, which reads nothing of the
+    other repeats: each strategy's server runs to the longest round count
+    among its configs, in every repeat. Every result is the one
     ``run_experiment`` gives the config alone, and so is every error: a
-    server stopped in round k fails, from that repeat on, the configs of its
-    strategy with k rounds or more, while its shorter configs complete. Later
-    repeats run each server only to its longest config still running.
+    config keeps the error of its lowest failed repeat, and its later
+    repeats are dropped. The repeats stop once every config has failed.
 
     Seed ``master_seed + r`` drives repeat r's holdout split, client
     partition, common initial model and every client's training streams. The
@@ -409,28 +421,14 @@ def run_family(cfgs: Sequence[ExperimentConfig], dataset: Dataset,
     results: list[list[RepeatResult] | Exception] = [[] for _ in cfgs]
     trained = 0
     for r in range(first.repeats):
-        horizons: dict[AggregationStrategy, int] = {}
-        for cfg, result in zip(cfgs, results):
-            if not isinstance(result, Exception):
-                horizons[cfg.strategy] = max(horizons.get(cfg.strategy, 0), cfg.n_rounds)
-        if not horizons:
-            break
-        start = time.perf_counter()
-        servers, repeat_trained = _run_servers(first, dataset, r, horizons, threads)
+        repeats, repeat_trained = _run_servers(cfgs, dataset, r, threads)
         trained += repeat_trained
-        reported = 0
-        for i, cfg in enumerate(cfgs):
-            if isinstance(results[i], Exception):
-                continue
-            reports, error = servers[cfg.strategy]
-            if len(reports) < cfg.n_rounds:  # stopped in a round this config has
-                results[i] = error
-            else:
-                results[i].append(RepeatResult(r, first.master_seed + r, reports[:cfg.n_rounds]))
-                reported += cfg.n_rounds
-        log.info("family %s c%d repeat %d/%d: %d rounds trained for %d reported, %.1fs",
-                 dataset.name, first.n_clients, r + 1, first.repeats, repeat_trained, reported,
-                 time.perf_counter() - start)
+        # a config keeps the error of its lowest failed repeat
+        results = [result if isinstance(result, Exception)
+                   else repeat if isinstance(repeat, Exception) else [*result, repeat]
+                   for result, repeat in zip(results, repeats)]
+        if all(isinstance(result, Exception) for result in results):
+            break
     return FamilyResult([result if isinstance(result, Exception) else ExperimentResult(result)
                          for result in results], trained, time.perf_counter() - family_start)
 

@@ -345,6 +345,16 @@ class TestFamily:
                             lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
         return calls
 
+    @staticmethod
+    def assert_same_result(result, ref):
+        for repeat, ref_repeat in zip(result.repeats, ref.repeats, strict=True):
+            assert (repeat.repeat, repeat.run_seed) == (ref_repeat.repeat, ref_repeat.run_seed)
+            for a, b in zip(repeat.rounds, ref_repeat.rounds, strict=True):
+                assert a.round == b.round
+                assert a.global_metrics == b.global_metrics
+                assert a.client_local_acc.tobytes() == b.client_local_acc.tobytes()
+                assert a.betas_after_update.tobytes() == b.betas_after_update.tobytes()
+
     def test_one_config_trains_once_per_round(self, small_dataset, monkeypatch):
         calls = self.count_trainings(monkeypatch)
         run_experiment(small_config(n_rounds=3, repeats=2), small_dataset, threads=1)
@@ -358,13 +368,7 @@ class TestFamily:
         family = run_family(cfgs, small_dataset, threads=1)
         assert family.rounds_trained == len(calls) <= 2 * (2 * 4 - 1)
         for result, ref in zip(family.results, alone, strict=True):
-            for repeat, ref_repeat in zip(result.repeats, ref.repeats, strict=True):
-                assert (repeat.repeat, repeat.run_seed) == (ref_repeat.repeat, ref_repeat.run_seed)
-                for a, b in zip(repeat.rounds, ref_repeat.rounds, strict=True):
-                    assert a.round == b.round
-                    assert a.global_metrics == b.global_metrics
-                    assert a.client_local_acc.tobytes() == b.client_local_acc.tobytes()
-                    assert a.betas_after_update.tobytes() == b.betas_after_update.tobytes()
+            self.assert_same_result(result, ref)
 
     def test_a_failing_server_fails_only_its_own_longer_configs(self, small_dataset, monkeypatch):
         def dw_fedavg(models, idx):
@@ -380,6 +384,34 @@ class TestFamily:
         assert str(results[3]) == "dw round 2"
         with pytest.raises(RuntimeError, match="dw round 2"):
             run_experiment(cfgs[3], small_dataset, threads=1)
+
+    def test_a_config_failing_in_two_repeats_reports_the_first(self, small_dataset, monkeypatch):
+        seeds, raised = [], []
+
+        def client_rng(run_seed, round_num, client_id):  # notes the repeat being trained
+            seeds.append(run_seed)
+            return real_rng(run_seed, round_num, client_id)
+
+        def dw_fedavg(models, idx):  # round 3 fails in repeats 1 and 2, with their seeds
+            if idx.round == 3 and seeds[-1] != 11:
+                raised.append(f"dw round 3 of seed {seeds[-1]}")
+                raise RuntimeError(raised[-1])
+            return real_dw(models, idx)
+
+        real_rng, real_dw = federation._client_rng, federation.dw_fedavg
+        monkeypatch.setattr(federation, "_client_rng", client_rng)
+        monkeypatch.setattr(federation, "dw_fedavg", dw_fedavg)
+        cfgs = [small_config(n_rounds=n, strategy=s, repeats=3)
+                for n in (2, 3) for s in AggregationStrategy]
+        results = run_family(cfgs, small_dataset, threads=1).results
+        assert raised == ["dw round 3 of seed 12", "dw round 3 of seed 13"]
+        assert [isinstance(r, Exception) for r in results] == [False, False, False, True]
+        assert str(results[3]) == "dw round 3 of seed 12"
+        with pytest.raises(RuntimeError, match="^dw round 3 of seed 12$"):
+            run_experiment(cfgs[3], small_dataset, threads=1)
+        for cfg, result in zip(cfgs[:3], results):
+            assert [repeat.run_seed for repeat in result.repeats] == [11, 12, 13]
+            self.assert_same_result(result, run_experiment(cfg, small_dataset, threads=1))
 
     def test_configs_that_differ_in_more_are_not_a_family(self, small_dataset):
         with pytest.raises(ValueError, match="differ only in strategy and n_rounds"):
