@@ -15,10 +15,10 @@ are equal share each round's training.
 The clients of a repeat are one ``ClientState``, their models the rows of one
 (K, P) array. ``local_update`` writes the broadcast into every row, splits the
 stack into contiguous groups of clients, one per thread, and trains each group
-as one ``nn.sgd_epochs`` call. Each client's arithmetic is the one it would do
-alone, so results depend neither on the stack nor on the thread count.
-``setup_repeat`` checks the table's labels once; training reads the table in
-the dtype it is held in and casts only the rows it gathers.
+for every local epoch in one ``nn.sgd_epochs`` call. Each client's arithmetic
+is the one it would do alone, so results depend neither on the stack nor on
+the thread count. ``setup_repeat`` checks the table's labels once; training
+reads the table in its own dtype and casts only the rows it gathers.
 """
 from __future__ import annotations
 
@@ -85,23 +85,33 @@ class ClientState(Sequence):
         return len(self.clients)
 
     def local_update(self, global_params: np.ndarray, cfg: TrainConfig, rngs,
-                     threads: int = 1) -> tuple[list[np.ndarray], np.ndarray]:
+                     threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """Broadcast ``global_params`` into every row and train every client for cfg.local_epochs.
 
-        Returns what may cross the privacy boundary, in client order: each
-        client's trained flat vector (a copy, not a view of the stack) and its
-        scalar local test accuracy. Client k draws its batches from ``rngs[k]``.
-        The stack trains as ``min(threads, K)`` contiguous groups, the first on
-        the calling thread and each other on a helper thread. A
-        FloatingPointError names the lowest client id whose training left a
-        parameter non-finite, whatever the split.
+        Returns what may cross the privacy boundary, in client order: a (K, P)
+        copy of the trained stack, whose row k is client k's flat vector, and
+        the K scalar local test accuracies. Client k draws its batches from
+        ``rngs[k]``. The stack trains as ``min(threads, K)`` contiguous groups,
+        each one ``sgd_epochs`` call, the first on the calling thread and each
+        other on a helper thread. A FloatingPointError names the lowest client
+        id whose training left a parameter non-finite, whatever the split.
         """
         self.params[:] = global_params
 
         def train(group: np.ndarray) -> list[float]:
             lo, hi = group[0], group[-1] + 1
-            return _train_stack(self.params[lo:hi], self.clients[lo:hi], self.layer_dims, cfg,
-                                rngs[lo:hi])
+            stack, clients = self.params[lo:hi], self.clients[lo:hi]
+            data = clients[0].shard.data  # every shard indexes one table, checked by setup_repeat
+            sgd_epochs(stack, self.layer_dims, data.features, data.labels,
+                       [c.shard.train for c in clients], cfg, rngs[lo:hi], loss=False)
+            diverged = [c.client_id for c, row in zip(clients, stack) if not np.isfinite(row).all()]
+            if diverged:
+                raise FloatingPointError(f"client {min(diverged)}: local training diverged to "
+                                         f"non-finite parameters at learning rate {cfg.learning_rate}")
+            return [float(np.mean(predict_labels(DenseNetwork(self.layer_dims, row),
+                                                 data.features[c.shard.local_test])
+                                  == data.labels[c.shard.local_test]))
+                    for c, row in zip(clients, stack)]
 
         first, *rest = np.array_split(np.arange(len(self)), min(threads, len(self)))
         # a pool starts threads only as work is submitted; leaving the block joins
@@ -111,29 +121,7 @@ class ClientState(Sequence):
             accs = train(first)
             for helper in helpers:  # in client order, so the lowest diverged id is raised
                 accs += helper.result()
-        return list(self.params.copy()), np.array(accs)
-
-
-def _train_stack(stack: np.ndarray, clients: Sequence[Client], layer_dims: list[int],
-                 cfg: TrainConfig, rngs) -> list[float]:
-    """Train the rows of ``stack``, one per client, in place and return their local test accuracies.
-
-    Every shard indexes one shared table, whose labels ``setup_repeat``
-    checked. Raises FloatingPointError, naming the lowest such client id, if
-    training left a parameter non-finite.
-    """
-    data = clients[0].shard.data
-    grad = np.empty_like(stack)
-    for _ in range(cfg.local_epochs):
-        sgd_epochs(stack, layer_dims, data.features, data.labels,
-                   [c.shard.train for c in clients], cfg, rngs, grad, loss=False)
-    diverged = [c.client_id for c, row in zip(clients, stack) if not np.isfinite(row).all()]
-    if diverged:
-        raise FloatingPointError(f"client {min(diverged)}: local training diverged to non-finite "
-                                 f"parameters at learning rate {cfg.learning_rate}")
-    return [float(np.mean(predict_labels(DenseNetwork(layer_dims, row),
-                                         data.features[c.shard.local_test])
-                          == data.labels[c.shard.local_test])) for c, row in zip(clients, stack)]
+        return self.params.copy(), np.array(accs)
 
 
 @dataclass

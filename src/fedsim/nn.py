@@ -16,19 +16,19 @@ One layer loop (``_forward``) computes the activations both for scoring
 model is the one SGD trained. It runs on a stack of G networks, the rows of
 a (G, P) parameter array, with one batch each: every GEMM is one 3-D
 ``np.matmul`` and every elementwise step one numpy call across the stack.
-``sgd_epochs`` trains such a stack in place; ``sgd_epoch`` is the stack of
-one. Each network's arithmetic is the one it would do alone, bit for bit.
+``sgd_epochs`` trains such a stack in place, ``sgd_epoch`` one network for one
+epoch. Each network's arithmetic is the one it would do alone, bit for bit.
 
-While every network still has a whole batch, an ``sgd_epochs`` step gathers
-all batches with one ``take`` and trains the whole stack; only an epoch's
-ragged tail gathers network by network. Layer views are built once per call,
-and the loss is computed only when the caller reads it. ``sgd_epochs`` reads
-the shared table in the dtype it is held in (a 0/1 table as uint8) and casts
-only each gathered batch to float64, so training never copies the table.
+One ``sgd_epochs`` call runs every local epoch, with its layer views, batch
+buffers and gradient scratch built once, and computes the loss only in the last
+epoch, when asked. While every network still has a whole batch, a step gathers
+all batches with one ``take``; only an epoch's ragged tail gathers network by
+network. The table is read in its own dtype (a 0/1 table as uint8) and only
+each gathered batch is cast to float64, so training never copies the table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -218,19 +218,19 @@ def loss_and_gradient(net: DenseNetwork, batch, labels) -> tuple[float, np.ndarr
     return float(loss[0]), grad
 
 
-def sgd_epochs(stack: np.ndarray, layer_dims: list[int], X, y, rows, cfg: TrainConfig, rngs,
-               grad: np.ndarray, *, loss: bool = True) -> np.ndarray | None:
-    """One epoch of mini-batch SGD for each network of a (G, P) stack, updating ``stack`` in place.
+def sgd_epochs(stack: np.ndarray, layer_dims: list[int], X, y, rows, cfg: TrainConfig, rngs, *,
+               loss: bool = True) -> np.ndarray | None:
+    """``cfg.local_epochs`` epochs of mini-batch SGD for each network of a (G, P) stack, in place.
 
     Network g trains on the rows ``rows[g]`` of the shared table ``X``, ``y``
-    in the shuffle order drawn from ``rngs[g]``, with the arithmetic it would
-    do alone; its final short batch is trained on like any other. While every
-    network still has a whole batch, each step gathers all G batches with one
-    ``take`` and trains the whole stack. In the ragged tail after that, each
-    network's batch is gathered on its own and each run of adjacent networks
-    whose batches have equal size trains as one stack. ``grad`` is scratch of
-    the stack's shape. Returns each network's mean per-sample loss over the
-    epoch, or None without computing any loss when ``loss`` is false.
+    in a shuffle order drawn from ``rngs[g]`` each epoch, with the arithmetic
+    it would do alone; its final short batch is trained on like any other.
+    While every network still has a whole batch, each step gathers all G
+    batches with one ``take`` and trains the whole stack. In the ragged tail
+    after that, each network's batch is gathered on its own and each run of
+    adjacent networks whose batches have equal size trains as one stack.
+    Returns each network's mean per-sample loss over the last epoch, or None
+    without computing any loss when ``loss`` is false.
 
     Only shapes are checked: ``y`` must already hold 0/1 labels (see
     ``_check_labels``). ``X`` is read in its own dtype: each batch is
@@ -240,58 +240,62 @@ def sgd_epochs(stack: np.ndarray, layer_dims: list[int], X, y, rows, cfg: TrainC
     if X.ndim != 2 or X.shape[1] != layer_dims[0] or y.shape != X.shape[:1]:
         raise ValueError(f"expected a table of shape (n, {layer_dims[0]}) and n labels, "
                          f"got {X.shape} and {y.shape}")
+    if not len(stack) == len(rows) == len(rngs):
+        raise ValueError(f"{len(stack)} networks but {len(rows)} row sets and {len(rngs)} generators")
+    grad = np.empty_like(stack)
     sizes = np.array([r.size for r in rows])
     if not sizes.all():
         raise ValueError("cannot train on an empty set")
     bs = cfg.batch_size
     order = np.zeros((len(rows), sizes.max()), dtype=np.intp)  # shuffled rows, zero-padded
-    for g, (rng, r) in enumerate(zip(rngs, rows)):
-        order[g, : r.size] = r[rng.permutation(r.size)]
-    # raises on a row out of range, before any training
-    y_perm = y.take(order).astype(np.float64, copy=False)
     batch = np.empty((len(rows), min(bs, sizes.max()), layer_dims[0]))
     # take writes only to an out= of the table's dtype, so batches gather into scratch
     gathered = np.empty(batch.shape, X.dtype)
     views, grad_views = _layer_views(stack, layer_dims), _layer_views(grad, layer_dims)
-    loss_sum = np.zeros(len(rows))
     whole = sizes.min() // bs * bs  # every network has a whole batch at each step before this
-    for start in range(0, sizes.max(), bs):
-        if start < whole:
-            # "wrap" reads the rows y.take read, negative ones too; "raise" would buffer out
-            X.take(order[:, start : start + bs], axis=0, out=gathered, mode="wrap")
-            runs = [(0, len(rows), bs, views, grad_views)]
-        else:  # the ragged tail: a gather per network, a stack per run of equal batch sizes
-            batch_sizes = (sizes - start).clip(0, bs)
-            for row in np.flatnonzero(batch_sizes):
-                X.take(order[row, start : start + batch_sizes[row]], axis=0,
-                       out=gathered[row, : batch_sizes[row]], mode="wrap")
-            edges = [0, *(np.flatnonzero(np.diff(batch_sizes)) + 1), len(rows)]
-            runs = [(lo, hi, int(batch_sizes[lo]), _layer_views(stack[lo:hi], layer_dims),
-                     _layer_views(grad[lo:hi], layer_dims))
-                    for lo, hi in zip(edges[:-1], edges[1:]) if batch_sizes[lo]]
-        batch[...] = gathered
-        for lo, hi, n, run_views, run_grad_views in runs:
-            batch_loss = _backward(run_views, batch[lo:hi, :n], y_perm[lo:hi, start : start + n],
-                                   run_grad_views, loss)
-            if loss:
-                loss_sum[lo:hi] += batch_loss * n
-            grad[lo:hi] *= cfg.learning_rate
-            stack[lo:hi] -= grad[lo:hi]
+    loss_sum = np.zeros(len(rows))
+    for epoch in range(cfg.local_epochs):
+        for g, (rng, r) in enumerate(zip(rngs, rows)):
+            order[g, : r.size] = r[rng.permutation(r.size)]
+        # raises on a row out of range, before any training
+        y_perm = y.take(order).astype(np.float64, copy=False)
+        epoch_loss = loss and epoch == cfg.local_epochs - 1
+        for start in range(0, sizes.max(), bs):
+            if start < whole:
+                # "wrap" reads the rows y.take read, negative ones too; "raise" would buffer out
+                X.take(order[:, start : start + bs], axis=0, out=gathered, mode="wrap")
+                runs = [(0, len(rows), bs, views, grad_views)]
+            else:  # the ragged tail: a gather per network, a stack per run of equal batch sizes
+                batch_sizes = (sizes - start).clip(0, bs)
+                for row in np.flatnonzero(batch_sizes):
+                    X.take(order[row, start : start + batch_sizes[row]], axis=0,
+                           out=gathered[row, : batch_sizes[row]], mode="wrap")
+                edges = [0, *(np.flatnonzero(np.diff(batch_sizes)) + 1), len(rows)]
+                runs = [(lo, hi, int(batch_sizes[lo]), _layer_views(stack[lo:hi], layer_dims),
+                         _layer_views(grad[lo:hi], layer_dims))
+                        for lo, hi in zip(edges[:-1], edges[1:]) if batch_sizes[lo]]
+            batch[...] = gathered
+            for lo, hi, n, run_views, run_grad_views in runs:
+                batch_loss = _backward(run_views, batch[lo:hi, :n],
+                                       y_perm[lo:hi, start : start + n], run_grad_views, epoch_loss)
+                if epoch_loss:
+                    loss_sum[lo:hi] += batch_loss * n
+                grad[lo:hi] *= cfg.learning_rate
+                stack[lo:hi] -= grad[lo:hi]
     return loss_sum / sizes if loss else None
 
 
 def sgd_epoch(net: DenseNetwork, X, y, cfg: TrainConfig, rng: np.random.Generator) -> float:
     """One pass of mini-batch SGD over the training set, updating ``net`` in place.
 
-    Returns the mean per-sample loss over the epoch. The shuffle order comes
-    from ``rng``; the final short batch is trained on like any other. This is
-    ``sgd_epochs`` on a stack of one network.
+    Returns the mean per-sample loss over the epoch; ``cfg.local_epochs`` is
+    not read. The shuffle order comes from ``rng``; the final short batch is
+    trained on like any other. This is ``sgd_epochs`` on a stack of one network.
     """
     X = _check_batch(X, net.input_dim)
     y = _check_labels(y, X.shape[0])
-    stack = net.params[None]
-    return float(sgd_epochs(stack, net.layer_dims, X, y, [np.arange(len(X))], cfg, [rng],
-                            np.empty_like(stack))[0])
+    return float(sgd_epochs(net.params[None], net.layer_dims, X, y, [np.arange(len(X))],
+                            replace(cfg, local_epochs=1), [rng])[0])
 
 
 def predict_labels(net: DenseNetwork, batch) -> np.ndarray:

@@ -439,13 +439,13 @@ class TestThreads:
                     assert a.betas_after_update.tobytes() == b.betas_after_update.tobytes()
 
     def test_two_threads_train_the_clients_on_two_threads(self, small_dataset, monkeypatch):
-        seen, real = set(), federation._train_stack
+        seen, real = set(), federation.sgd_epochs
 
         def spy(*args, **kwargs):
             seen.add(threading.get_ident())
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(federation, "_train_stack", spy)
+        monkeypatch.setattr(federation, "sgd_epochs", spy)
         run_experiment(small_config(n_clients=4), small_dataset, threads=2)
         assert len(seen) >= 2
 

@@ -332,13 +332,12 @@ class TestSgd:
         X = rng.normal(size=(sum(sizes), 5))
         y = rng.integers(0, 2, size=sum(sizes))
         rows = np.split(rng.permutation(sum(sizes)), np.cumsum(sizes)[:-1])
-        cfg = TrainConfig(learning_rate=0.3, batch_size=batch_size)
+        cfg = TrainConfig(learning_rate=0.3, batch_size=batch_size, local_epochs=1)
         stack = np.array([net.params for net in nets])
         stack_rngs = [np.random.default_rng(seed) for seed in range(len(sizes))]
         alone_rngs = [np.random.default_rng(seed) for seed in range(len(sizes))]
         for _ in range(3):
-            losses = sgd_epochs(stack, nets[0].layer_dims, X, y, rows, cfg, stack_rngs,
-                                np.empty_like(stack))
+            losses = sgd_epochs(stack, nets[0].layer_dims, X, y, rows, cfg, stack_rngs)
             alone = [sgd_epoch(net, X[r], y[r], cfg, rng)
                      for net, r, rng in zip(nets, rows, alone_rngs)]
             assert stack.tobytes() == np.array([net.params for net in nets]).tobytes()
@@ -354,7 +353,7 @@ class TestSgd:
         nets = [init_network(5, [6, 4], 0) for _ in range(2)]
         for net, rows in zip(nets, (np.arange(10, 30), np.arange(10, 30) - 40)):
             sgd_epochs(net.params[None], net.layer_dims, X, y, [rows], cfg,
-                       [np.random.default_rng(1)], np.empty_like(net.params[None]))
+                       [np.random.default_rng(1)])
         assert nets[0].params.tobytes() == nets[1].params.tobytes()
 
     @pytest.mark.parametrize("sizes, batch_size", [
@@ -368,17 +367,51 @@ class TestSgd:
         X = rng.normal(size=(sum(sizes), 5))
         y = rng.integers(0, 2, size=sum(sizes))
         rows = np.split(rng.permutation(sum(sizes)), np.cumsum(sizes)[:-1])
-        cfg = TrainConfig(learning_rate=0.3, batch_size=batch_size)
+        cfg = TrainConfig(learning_rate=0.3, batch_size=batch_size, local_epochs=1)
         stack = np.array([net.params for net in nets])
         stack_rngs = [np.random.default_rng(seed) for seed in range(len(sizes))]
         alone_rngs = [np.random.default_rng(seed) for seed in range(len(sizes))]
         for _ in range(2):
-            losses = sgd_epochs(stack, nets[0].layer_dims, X, y, rows, cfg, stack_rngs,
-                                np.empty_like(stack))
+            losses = sgd_epochs(stack, nets[0].layer_dims, X, y, rows, cfg, stack_rngs)
             alone = [sgd_epoch(net, X[r], y[r], cfg, rng)
                      for net, r, rng in zip(nets, rows, alone_rngs)]
             assert stack.tobytes() == np.array([net.params for net in nets]).tobytes()
             assert losses.tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize("local_epochs", [1, 3])
+    @pytest.mark.parametrize("sizes, batch_size", [((64, 96, 32), 32), ((5, 9, 7), 16)],
+                             ids=["no-tail", "all-tail"])
+    def test_one_call_trains_every_local_epoch(self, sizes, batch_size, local_epochs):
+        rng = np.random.default_rng(24)
+        nets = [init_network(5, [6, 4], seed) for seed in range(len(sizes))]
+        X = rng.normal(size=(sum(sizes), 5))
+        y = rng.integers(0, 2, size=sum(sizes))
+        rows = np.split(rng.permutation(sum(sizes)), np.cumsum(sizes)[:-1])
+        cfg = TrainConfig(learning_rate=0.3, batch_size=batch_size, local_epochs=local_epochs)
+        stack = np.array([net.params for net in nets])
+        losses = sgd_epochs(stack, nets[0].layer_dims, X, y, rows, cfg,
+                            [np.random.default_rng(seed) for seed in range(len(sizes))])
+        alone = []
+        for seed, (net, r) in enumerate(zip(nets, rows)):
+            net_rng = np.random.default_rng(seed)
+            epoch_losses = [sgd_epoch(net, X[r], y[r], cfg, net_rng) for _ in range(local_epochs)]
+            alone.append(epoch_losses[-1])
+        assert stack.tobytes() == np.array([net.params for net in nets]).tobytes()
+        assert losses.tobytes() == np.array(alone).tobytes()
+
+    def test_networks_rows_and_generators_must_agree_in_number(self):
+        rng = np.random.default_rng(25)
+        X = rng.normal(size=(40, 5))
+        y = rng.integers(0, 2, size=40)
+        start = np.array([init_network(5, [6, 4], seed).params for seed in range(2)])
+        two_sets = [np.arange(20), np.arange(20, 40)]
+        one_rng, two_rngs = [np.random.default_rng(0)], [np.random.default_rng(s) for s in range(2)]
+        for stack, rows, rngs in ((start.copy(), two_sets, one_rng),
+                                  (start.copy(), two_sets[:1], two_rngs),
+                                  (start[:1].copy(), two_sets, two_rngs)):
+            with pytest.raises(ValueError, match="networks but"):
+                sgd_epochs(stack, [5, 6, 4, 1], X, y, rows, TrainConfig(batch_size=7), rngs)
+            assert stack.tobytes() == start[: len(stack)].tobytes()
 
     @pytest.mark.parametrize("batch_size", [32, 7])
     def test_skipping_the_loss_leaves_the_same_stack(self, batch_size):
@@ -392,8 +425,7 @@ class TestSgd:
         for loss in (True, False):
             stack, rngs = start.copy(), [np.random.default_rng(seed) for seed in range(3)]
             for _ in range(2):
-                out = sgd_epochs(stack, [5, 6, 4, 1], X, y, rows, cfg, rngs,
-                                 np.empty_like(stack), loss=loss)
+                out = sgd_epochs(stack, [5, 6, 4, 1], X, y, rows, cfg, rngs, loss=loss)
                 assert (out is None) is (not loss)
             stacks.append(stack)
         assert stacks[0].tobytes() == stacks[1].tobytes()
@@ -401,17 +433,19 @@ class TestSgd:
 
     @pytest.mark.parametrize("n_rows", [32, 256])
     def test_layer_views_are_built_once_per_call(self, n_rows, monkeypatch):
-        # one view of the stack and one of the gradient, however many steps the epoch has
+        # one view of the stack and one of the gradient, however many steps and epochs the call has
         rng = np.random.default_rng(20)
         X = rng.normal(size=(3 * n_rows, 5))
         y = rng.integers(0, 2, size=3 * n_rows)
         stack = np.array([init_network(5, [6, 4], seed).params for seed in range(3)])
-        calls = []
-        build = nn._layer_views
+        calls, steps = [], []
+        build, step = nn._layer_views, nn._backward
         monkeypatch.setattr(nn, "_layer_views", lambda *a: calls.append(1) or build(*a))
+        monkeypatch.setattr(nn, "_backward", lambda *a: steps.append(1) or step(*a))
         sgd_epochs(stack, [5, 6, 4, 1], X, y, np.split(np.arange(3 * n_rows), 3),
-                   TrainConfig(batch_size=16), [np.random.default_rng(s) for s in range(3)],
-                   np.empty_like(stack))
+                   TrainConfig(batch_size=16, local_epochs=5),
+                   [np.random.default_rng(s) for s in range(3)])
+        assert len(steps) == 5 * n_rows // 16  # every set is whole batches: one stack step each
         assert len(calls) == 2
 
     def test_a_row_out_of_range_raises_before_any_training(self):
@@ -422,8 +456,7 @@ class TestSgd:
         before = net.params.copy()
         with pytest.raises(IndexError):
             sgd_epochs(net.params[None], net.layer_dims, X, y, [np.arange(20, 41)],
-                       TrainConfig(batch_size=7), [np.random.default_rng(1)],
-                       np.empty_like(net.params[None]))
+                       TrainConfig(batch_size=7), [np.random.default_rng(1)])
         assert net.params.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("sizes, batch_size", [((64, 96, 32), 32), ((70, 64, 100), 32),
@@ -438,8 +471,7 @@ class TestSgd:
         out = []
         for table in (X, X.astype(np.float64)):
             stack, rngs = start.copy(), [np.random.default_rng(s) for s in range(len(sizes))]
-            losses = [sgd_epochs(stack, [5, 6, 4, 1], table, y, rows, cfg, rngs,
-                                 np.empty_like(stack)) for _ in range(2)]
+            losses = [sgd_epochs(stack, [5, 6, 4, 1], table, y, rows, cfg, rngs) for _ in range(2)]
             out.append((stack.tobytes(), np.array(losses).tobytes()))
         assert out[0] == out[1]
 
@@ -452,7 +484,7 @@ class TestSgd:
         tracemalloc.start()
         try:
             sgd_epochs(stack, [64, 8, 1], X, y, np.split(np.arange(len(X)), 4), TrainConfig(),
-                       [np.random.default_rng(s) for s in range(4)], np.empty_like(stack))
+                       [np.random.default_rng(s) for s in range(4)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -464,7 +496,7 @@ class TestSgd:
                      (np.zeros(10), np.zeros(10))):
             with pytest.raises(ValueError, match="expected a table of shape"):
                 sgd_epochs(net.params[None], net.layer_dims, X, y, [np.arange(5)], TrainConfig(),
-                           [np.random.default_rng(0)], np.empty_like(net.params[None]))
+                           [np.random.default_rng(0)])
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(11)
