@@ -21,10 +21,11 @@ epoch. Each network's arithmetic is the one it would do alone, bit for bit.
 
 One ``sgd_epochs`` call runs every local epoch, with its layer views, batch
 buffers and gradient scratch built once, and computes the loss only in the last
-epoch, when asked. While every network still has a whole batch, a step gathers
-all batches with one ``take``; only an epoch's ragged tail gathers network by
-network. The table is read in its own dtype (a 0/1 table as uint8) and only
-each gathered batch is cast to float64, so training never copies the table.
+epoch, when asked. It plans its steps once, as runs of adjacent networks whose
+batches have one size, and every step of every epoch gathers a run's batches by
+indexing the table and trains the run as one stack. The table is read in its
+own dtype (a 0/1 table as uint8) and only each gathered batch is cast to
+float64, so training never copies the table.
 """
 from __future__ import annotations
 
@@ -225,10 +226,10 @@ def sgd_epochs(stack: np.ndarray, layer_dims: list[int], X, y, rows, cfg: TrainC
     Network g trains on the rows ``rows[g]`` of the shared table ``X``, ``y``
     in a shuffle order drawn from ``rngs[g]`` each epoch, with the arithmetic
     it would do alone; its final short batch is trained on like any other.
-    While every network still has a whole batch, each step gathers all G
-    batches with one ``take`` and trains the whole stack. In the ragged tail
-    after that, each network's batch is gathered on its own and each run of
-    adjacent networks whose batches have equal size trains as one stack.
+    The call plans its steps once: each step trains every run of adjacent
+    networks whose batches have one size as one stack, which is the whole
+    stack while every network still has a whole batch. Every step of every
+    epoch gathers each run's batches by indexing ``X`` and trains the run.
     Returns each network's mean per-sample loss over the last epoch, or None
     without computing any loss when ``loss`` is false.
 
@@ -249,10 +250,15 @@ def sgd_epochs(stack: np.ndarray, layer_dims: list[int], X, y, rows, cfg: TrainC
     bs = cfg.batch_size
     order = np.zeros((len(rows), sizes.max()), dtype=np.intp)  # shuffled rows, zero-padded
     batch = np.empty((len(rows), min(bs, sizes.max()), layer_dims[0]))
-    # take writes only to an out= of the table's dtype, so batches gather into scratch
-    gathered = np.empty(batch.shape, X.dtype)
     views, grad_views = _layer_views(stack, layer_dims), _layer_views(grad, layer_dims)
-    whole = sizes.min() // bs * bs  # every network has a whole batch at each step before this
+    plan = []  # (start, lo, hi, batch size, views, gradient views) per run, in step order
+    for start in range(0, sizes.max(), bs):
+        batch_sizes = (sizes - start).clip(0, bs)
+        edges = [0, *(np.flatnonzero(np.diff(batch_sizes)) + 1), len(rows)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if batch_sizes[lo]:
+                w, b, gw, gb = ([a[lo:hi] for a in part] for part in (*views, *grad_views))
+                plan.append((start, lo, hi, int(batch_sizes[lo]), (w, b), (gw, gb)))
     loss_sum = np.zeros(len(rows))
     for epoch in range(cfg.local_epochs):
         for g, (rng, r) in enumerate(zip(rngs, rows)):
@@ -260,28 +266,14 @@ def sgd_epochs(stack: np.ndarray, layer_dims: list[int], X, y, rows, cfg: TrainC
         # raises on a row out of range, before any training
         y_perm = y.take(order).astype(np.float64, copy=False)
         epoch_loss = loss and epoch == cfg.local_epochs - 1
-        for start in range(0, sizes.max(), bs):
-            if start < whole:
-                # "wrap" reads the rows y.take read, negative ones too; "raise" would buffer out
-                X.take(order[:, start : start + bs], axis=0, out=gathered, mode="wrap")
-                runs = [(0, len(rows), bs, views, grad_views)]
-            else:  # the ragged tail: a gather per network, a stack per run of equal batch sizes
-                batch_sizes = (sizes - start).clip(0, bs)
-                for row in np.flatnonzero(batch_sizes):
-                    X.take(order[row, start : start + batch_sizes[row]], axis=0,
-                           out=gathered[row, : batch_sizes[row]], mode="wrap")
-                edges = [0, *(np.flatnonzero(np.diff(batch_sizes)) + 1), len(rows)]
-                runs = [(lo, hi, int(batch_sizes[lo]), _layer_views(stack[lo:hi], layer_dims),
-                         _layer_views(grad[lo:hi], layer_dims))
-                        for lo, hi in zip(edges[:-1], edges[1:]) if batch_sizes[lo]]
-            batch[...] = gathered
-            for lo, hi, n, run_views, run_grad_views in runs:
-                batch_loss = _backward(run_views, batch[lo:hi, :n],
-                                       y_perm[lo:hi, start : start + n], run_grad_views, epoch_loss)
-                if epoch_loss:
-                    loss_sum[lo:hi] += batch_loss * n
-                grad[lo:hi] *= cfg.learning_rate
-                stack[lo:hi] -= grad[lo:hi]
+        for start, lo, hi, m, run_views, run_grad_views in plan:
+            batch[lo:hi, :m] = X[order[lo:hi, start : start + m]]
+            batch_loss = _backward(run_views, batch[lo:hi, :m],
+                                   y_perm[lo:hi, start : start + m], run_grad_views, epoch_loss)
+            if epoch_loss:
+                loss_sum[lo:hi] += batch_loss * m
+            grad[lo:hi] *= cfg.learning_rate
+            stack[lo:hi] -= grad[lo:hi]
     return loss_sum / sizes if loss else None
 
 
@@ -292,8 +284,8 @@ def sgd_epoch(net: DenseNetwork, X, y, cfg: TrainConfig, rng: np.random.Generato
     not read. The shuffle order comes from ``rng``; the final short batch is
     trained on like any other. This is ``sgd_epochs`` on a stack of one network.
     """
-    X = _check_batch(X, net.input_dim)
-    y = _check_labels(y, X.shape[0])
+    X = np.asarray(X)  # read in its own dtype; sgd_epochs checks its shape
+    y = _check_labels(y, len(X) if X.ndim else 0)
     return float(sgd_epochs(net.params[None], net.layer_dims, X, y, [np.arange(len(X))],
                             replace(cfg, local_epochs=1), [rng])[0])
 

@@ -431,21 +431,26 @@ class TestSgd:
         assert stacks[0].tobytes() == stacks[1].tobytes()
         assert stacks[0].tobytes() != start.tobytes()
 
-    @pytest.mark.parametrize("n_rows", [32, 256])
-    def test_layer_views_are_built_once_per_call(self, n_rows, monkeypatch):
-        # one view of the stack and one of the gradient, however many steps and epochs the call has
+    @pytest.mark.parametrize("sizes, batch_size, steps", [
+        ((32, 32, 32), 16, 2),  # every set is whole batches: one stack step each
+        ((256, 256, 256), 16, 16),
+        ((64, 96, 32), 32, 3),  # a run of two networks, then one network alone
+        ((5, 9, 7), 16, 3),  # one step of three runs of one network
+    ], ids=["32-rows", "256-rows", "no-tail", "all-tail"])
+    def test_layer_views_are_built_once_per_call(self, sizes, batch_size, steps, monkeypatch):
+        # one view of the stack and one of the gradient, however many steps, runs and epochs
         rng = np.random.default_rng(20)
-        X = rng.normal(size=(3 * n_rows, 5))
-        y = rng.integers(0, 2, size=3 * n_rows)
+        X = rng.normal(size=(sum(sizes), 5))
+        y = rng.integers(0, 2, size=sum(sizes))
         stack = np.array([init_network(5, [6, 4], seed).params for seed in range(3)])
-        calls, steps = [], []
+        calls, backward_calls = [], []
         build, step = nn._layer_views, nn._backward
         monkeypatch.setattr(nn, "_layer_views", lambda *a: calls.append(1) or build(*a))
-        monkeypatch.setattr(nn, "_backward", lambda *a: steps.append(1) or step(*a))
-        sgd_epochs(stack, [5, 6, 4, 1], X, y, np.split(np.arange(3 * n_rows), 3),
-                   TrainConfig(batch_size=16, local_epochs=5),
+        monkeypatch.setattr(nn, "_backward", lambda *a: backward_calls.append(1) or step(*a))
+        sgd_epochs(stack, [5, 6, 4, 1], X, y, np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1]),
+                   TrainConfig(batch_size=batch_size, local_epochs=5),
                    [np.random.default_rng(s) for s in range(3)])
-        assert len(steps) == 5 * n_rows // 16  # every set is whole batches: one stack step each
+        assert len(backward_calls) == 5 * steps  # steps: _backward calls in one epoch
         assert len(calls) == 2
 
     def test_a_row_out_of_range_raises_before_any_training(self):
@@ -490,13 +495,29 @@ class TestSgd:
             tracemalloc.stop()
         assert peak < 0.25 * X.size * 8
 
+    def test_one_epoch_of_a_uint8_table_is_not_copied_to_float64(self):
+        # sgd_epoch reads the table as sgd_epochs does: a float64 copy of it would be 8 MB
+        rng = np.random.default_rng(26)
+        X = rng.integers(0, 2, size=(16384, 64), dtype=np.uint8)
+        y = rng.integers(0, 2, size=len(X))
+        net = init_network(64, [8], 0)
+        tracemalloc.start()
+        try:
+            sgd_epoch(net, X, y, TrainConfig(), np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * X.size * 8
+
     def test_a_table_of_the_wrong_shape_is_rejected(self):
         net = init_network(5, [3], 0)
         for X, y in ((np.zeros((10, 4)), np.zeros(10)), (np.zeros((10, 5)), np.zeros(9)),
-                     (np.zeros(10), np.zeros(10))):
+                     (np.zeros(10), np.zeros(10)), (np.zeros(()), np.zeros(1))):
             with pytest.raises(ValueError, match="expected a table of shape"):
                 sgd_epochs(net.params[None], net.layer_dims, X, y, [np.arange(5)], TrainConfig(),
                            [np.random.default_rng(0)])
+            with pytest.raises(ValueError):
+                sgd_epoch(net, X, y, TrainConfig(), np.random.default_rng(0))
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(11)
