@@ -155,8 +155,9 @@ def run_cells(
     ``threads`` families run at once, each training on one thread; a lone
     family, or families run one at a time, train on ``threads`` threads each.
     As a family finishes, ``on_cell(cell, result)`` is called for each of its
-    finished cells, on the thread that ran it. Every family runs, whatever
-    fails; then the first failed cell in grid order, if any, raises its error.
+    finished cells, on the thread that ran it; an error it raises fails that
+    cell. Every family runs, whatever fails; then the first failed cell in
+    grid order, if any, raises its error.
     """
     families: dict[str, list[GridCell]] = {}
     for cell in configs:
@@ -168,11 +169,14 @@ def run_cells(
                                 manifest.resolve_dataset(cells[0].dataset), threads=family_threads)
         except Exception as exc:  # noqa: BLE001 - it fails this family's cells alone
             return FamilyResult([exc] * len(cells), 0, 0.0)
-        for cell, result in zip(cells, family.results):
+        for i, (cell, result) in enumerate(zip(cells, family.results)):
             if not isinstance(result, Exception):
                 log.info("done %-40s %6.1fs  acc=%.4f", cell.slug(), family.wall_time,
                          result.summary()["accuracy"][0])
-                on_cell(cell, result)
+                try:
+                    on_cell(cell, result)
+                except Exception as exc:  # noqa: BLE001 - it fails this cell alone
+                    family.results[i] = exc
         return family
 
     if threads > 1 and len(families) > 1:

@@ -260,8 +260,10 @@ def run_round(
                 aggregated.append((server, fedavg(local_params), server.idx))
         except Exception as exc:  # noqa: BLE001 - it stops this server alone
             server.error = exc
-    # Free the clients' (K, P) copy before the holdout's activations are
-    # allocated, and score a network over each new vector itself, not a copy.
+    # Free the clients' (K, P) copy before the holdout is scored, and score a
+    # network over each new vector itself, not a copy. ``forward`` casts and
+    # holds one block of at least 256 holdout rows at a time, never the whole
+    # holdout, with the bits of one pass over it.
     del local_params
     scored: list[tuple[np.ndarray, MetricSet]] = []
     for server, new_params, idx in aggregated:

@@ -1,6 +1,7 @@
 """CLI tests: grid expansion, output files, exit codes and the compare tool."""
 import configparser
 import csv
+import errno
 import json
 import logging
 import os
@@ -351,6 +352,26 @@ class TestRunCommand:
             logs[threads] = round_logs(out)
         assert logs["1"] == logs["2"]
         assert sorted(logs["1"]) == ["synth-small_c2_r1_fedavg", "synth-small_c3_r1_fedavg"]
+
+    def test_a_failed_round_log_write_leaves_the_same_round_logs_at_any_thread_count(
+            self, tmp_path, monkeypatch):
+        real = cli.write_round_log
+
+        def write_round_log(path, cell, result):
+            if cell.clients == 3:
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            real(path, cell, result)
+
+        monkeypatch.setattr(cli, "write_round_log", write_round_log)
+        logs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert main(["run", "--dataset", "synth-small", "--clients", "3,4,5", "--rounds", "1",
+                         "--repeats", "1", "--threads", threads, "--out", str(out)]) == EXIT_RUNTIME
+            logs[threads] = round_logs(out)
+        assert logs["1"] == logs["2"]
+        assert sorted(logs["1"]) == [f"synth-small_c{k}_r1_{s}" for k in (4, 5)
+                                     for s in ("dw-fedavg", "fedavg")]
 
     def test_a_client_count_too_large_for_the_dataset_is_exit_two_before_any_cell(
             self, tmp_path, capsys, monkeypatch):

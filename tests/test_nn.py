@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedsim import nn
+from fedsim import _blas, nn
 from fedsim.nn import (
     PROB_CLIP,
     DenseNetwork,
@@ -195,6 +195,54 @@ class TestForward:
         net = init_network(4, [], 0)
         with pytest.raises(ValueError, match="shape"):
             net.forward(np.zeros((3, 5)))
+        with pytest.raises(ValueError, match="shape"):
+            net.forward(np.zeros(4, dtype=np.uint8))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+    def test_an_empty_batch_gives_no_scores(self, dtype):
+        out = init_network(4, [3], 0).forward(np.zeros((0, 4), dtype=dtype))
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    def test_a_uint8_batch_is_not_copied_to_float64(self):
+        # a float64 copy of this table is 8 MB; one block of it and its activations are not
+        X = np.random.default_rng(27).integers(0, 2, size=(16384, 64), dtype=np.uint8)
+        net = init_network(64, [32, 16], 0)
+        tracemalloc.start()
+        try:
+            net.forward(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * X.size * 8
+
+    @pytest.mark.parametrize("n", [100, 256, 257, 511, 512 + 39, 3 * 256 + 1, 3007])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_blocks_give_the_bits_of_one_pass(self, n, dtype):
+        rng = np.random.default_rng(n)
+        net = init_network(215, [200, 100, 50], n)
+        net.params[:] = rng.normal(scale=0.2, size=net.n_params)
+        X = (rng.integers(0, 2, size=(n, 215)) if dtype == np.uint8
+             else rng.normal(size=(n, 215))).astype(dtype)
+        # at one BLAS thread, as every experiment scores (see fedsim._blas)
+        with _blas.one_blas_thread():
+            whole = nn._forward(*nn._layer_views(net.params[None], net.layer_dims),
+                                X.astype(np.float64)[None])[-1].ravel()
+            assert net.forward(X).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("n, blocks", [(100, [100]), (256, [256]), (511, [511]),
+                                           (512, [256, 256]), (1000, [256, 256, 488])])
+    def test_rows_are_scored_in_blocks_of_at_least_256(self, n, blocks, monkeypatch):
+        real, seen = nn._forward, []
+
+        def spy(weights, biases, X):
+            seen.append((X.shape[1], X.dtype))
+            return real(weights, biases, X)
+
+        monkeypatch.setattr(nn, "_forward", spy)
+        X = np.random.default_rng(n).integers(0, 2, size=(n, 6), dtype=np.uint8)
+        out = init_network(6, [4], 0).forward(X)
+        assert seen == [(m, np.float64) for m in blocks]
+        assert out.shape == (n,)
 
 
 class TestLossAndGradient:
