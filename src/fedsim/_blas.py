@@ -13,9 +13,12 @@ scope: the first experiment to enter saves the count and sets 1, the last to
 leave restores it. The setter is looked up with ctypes in the OpenBLAS that
 the numpy wheel bundles (``numpy.libs`` on Linux and Windows, ``numpy/.dylibs``
 on macOS), and only if numpy has already loaded it. With any other BLAS the
-pin does nothing. Results never depend on it: OpenBLAS splits a GEMM across
-threads by blocks of its output, never along the inner dimension, so one
-thread or many give the same bits.
+pin does nothing. The pin also fixes the bits: OpenBLAS can give a GEMM other
+last bits on several threads than on one (on a 2-vCPU host with OpenBLAS
+0.3.31, most entries of a 256 x 463 by 463 x 200 product differ between 1 and
+2 threads). Outputs are bit-identical because every experiment runs inside
+the pin; scores computed outside it, or under a BLAS it cannot set, may
+differ in their last bits.
 """
 from __future__ import annotations
 

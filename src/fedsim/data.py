@@ -67,9 +67,10 @@ class Dataset:
     """An in-memory feature table with binary labels (1 = malware).
 
     ``features`` is (rows, features), float64 or, for a table of small
-    integers such as 0/1 indicators, uint8 (see ``narrow_table``): training
-    and scoring cast only the rows they read to float64, so either dtype
-    gives the same bits.
+    integers such as 0/1 indicators, uint8 (the rule of ``narrow_table``;
+    ``load_csv`` and the synthetic surrogates build such a table as uint8
+    directly): training and scoring cast only the rows they read to float64,
+    so either dtype gives the same bits.
     """
 
     name: str
@@ -123,9 +124,12 @@ def load_csv(path, label_column: str, label_mapping: dict[str, int] | None = Non
     A body without a ``"`` is read in blocks of lines (see ``_read_lines``): a
     block of one-character cells, every feature a digit, straight from its
     bytes, any other block by numpy's C reader, and a block that fails both by
-    the row rules. A body with a ``"`` is read record by record through
-    ``csv``, at the speed of a per-row loop, because a quoted cell may hold a
-    comma or a line end.
+    the row rules. Its table is uint8 while every block's values pass
+    ``narrow_table``'s rule, so a 0/1 table takes one byte per cell from the
+    start, and float64 from the first block that fails it. A body with a
+    ``"`` is read record by record through ``csv``, at the speed of a per-row
+    loop, because a quoted cell may hold a comma or a line end; its table is
+    float64.
     """
     path = Path(path)
     if not path.is_file():
@@ -154,14 +158,14 @@ def load_csv(path, label_column: str, label_mapping: dict[str, int] | None = Non
         label_idx = _label_index(path, header, label_column)
         del lines[: records.line_num]  # the header's lines
         # A record spans at least one line, so the lines bound the rows.
-        features = np.empty((len(lines), len(header) - 1))
-        labels = np.empty(len(lines), dtype=np.int64)
+        n_rows, n_features = len(lines), len(header) - 1
         if any('"' in line for line in lines):
             del lines  # free it before the rows are read
+            features, labels = np.empty((n_rows, n_features)), np.empty(n_rows, dtype=np.int64)
             n, dropped = _rows_by_rule(path, records, 0, label_idx, mapping, features, labels)
         else:
-            n, dropped = _read_lines(path, lines, records.line_num, label_idx, mapping, features,
-                                     labels)
+            features, labels, n, dropped = _read_lines(path, lines, records.line_num, label_idx,
+                                                       mapping, n_features)
     if not n:
         raise DatasetError(f"{path}: no usable data rows")
     if n < len(labels):  # own the kept rows, so the buffer sized for every line is freed
@@ -205,60 +209,80 @@ def _label_index(path: Path, header: list[str], label_column: str) -> int:
 
 
 def _read_lines(path: Path, lines: list[str], offset: int, label_idx: int, mapping: dict[str, int],
-                features: np.ndarray, labels: np.ndarray) -> tuple[int, int]:
-    """(kept, dropped) of unquoted body lines, read in blocks into ``features`` and ``labels``.
+                n_features: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """(features, labels, kept, dropped) of unquoted body lines, read in blocks.
 
     ``offset`` is the file line before the first of ``lines``. A block the C
-    reader rejects goes through the row rules.
+    reader rejects goes through the row rules. Both arrays are sized for every
+    line, the kept rows first; the features are uint8 until a block fails
+    ``narrow_table``'s rule (see ``_write_rows``).
     """
+    features = np.empty((len(lines), n_features), dtype=np.uint8)
+    labels = np.empty(len(lines), dtype=np.int64)
     n = dropped = 0
     for start in range(0, len(lines), _BLOCK_LINES):
         block = lines[start : start + _BLOCK_LINES]
         try:
-            _read_block(block, label_idx, mapping, features[n:], labels[n:])
-            n += len(block)
+            rows, block_labels = _read_block(block, label_idx, mapping, n_features)
+            labels[n : n + len(rows)] = block_labels
         except ValueError:
+            rows = np.empty((len(block), n_features))
             kept, block_dropped = _rows_by_rule(path, csv.reader(block), offset + start, label_idx,
-                                                mapping, features[n:], labels[n:])
-            n += kept
+                                                mapping, rows, labels[n:])
+            rows = rows[:kept]
             dropped += block_dropped
-    return n, dropped
+        features = _write_rows(features, n, rows)
+        n += len(rows)
+    return features, labels, n, dropped
 
 
-def _read_block(lines: list[str], label_idx: int, mapping: dict[str, int], features: np.ndarray,
-                labels: np.ndarray) -> None:
-    """Parse unquoted lines and write all of them to the arrays' fronts.
+def _write_rows(features: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
+    """``features`` with ``rows`` written from row ``n`` on, widened to float64 if need be.
+
+    uint8 ``rows`` (digits) and any rows of a float64 table are written as
+    they are; float64 rows go into a uint8 table when they pass
+    ``narrow_table``'s rule (``_narrow_into``). At the first rows that fail
+    it, the table is widened once: its rows so far are copied to float64,
+    exactly, and the returned table is that copy.
+    """
+    out = features[n : n + len(rows)]
+    if features.dtype == rows.dtype or features.dtype == np.float64:
+        out[...] = rows
+    elif not _narrow_into(rows, out):
+        features = features.astype(np.float64)
+        features[n : n + len(rows)] = rows
+    return features
+
+
+def _read_block(lines: list[str], label_idx: int, mapping: dict[str, int],
+                n_features: int) -> tuple[np.ndarray, np.ndarray]:
+    """(features, labels) of unquoted lines, one row per line.
 
     A block of one-character cells, every feature an ASCII digit, is read
-    from its bytes (see ``_one_character_block``). Any other block goes to
-    numpy's C reader, which gives every cell it accepts the double ``float()``
-    gives it. A ValueError, raised before anything is written, means it
-    rejects the block (a cell it cannot parse, an empty or unknown label, a
-    ragged row), would misread it (it skips blank lines), returns its rows in
-    the wrong shape or holds a cell that is not finite: the row rules drop
-    such rows.
+    from its bytes into uint8 digits (see ``_one_character_block``). Any other
+    block goes to numpy's C reader, which gives every cell it accepts the
+    double ``float()`` gives it. A ValueError means it rejects the block (a
+    cell it cannot parse, an empty or unknown label, a ragged row), would
+    misread it (it skips blank lines), returns its rows in the wrong shape or
+    holds a cell that is not finite: the row rules drop such rows.
     """
     if "" in lines:
         raise ValueError("blank line")
-    block = _one_character_block(lines, features.shape[1] + 1, label_idx, mapping)
+    block = _one_character_block(lines, n_features + 1, label_idx, mapping)
     if block is not None:
-        table, block_labels = block
-    else:
-        table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, dtype=np.float64,
-                           ndmin=2, converters={label_idx: lambda cell: mapping[cell.strip().lower()]})
-        if table.shape != (len(lines), features.shape[1] + 1):
-            raise ValueError(f"rows of shape {table.shape}")
-        if not np.isfinite(table).all():
-            raise ValueError("a cell that is not finite")
-        block_labels = table[:, label_idx]
-    features[: len(lines), :label_idx] = table[:, :label_idx]
-    features[: len(lines), label_idx:] = table[:, label_idx + 1 :]
-    labels[: len(lines)] = block_labels
+        return block
+    table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, dtype=np.float64,
+                       ndmin=2, converters={label_idx: lambda cell: mapping[cell.strip().lower()]})
+    if table.shape != (len(lines), n_features + 1):
+        raise ValueError(f"rows of shape {table.shape}")
+    if not np.isfinite(table).all():
+        raise ValueError("a cell that is not finite")
+    return np.delete(table, label_idx, axis=1), table[:, label_idx]
 
 
 def _one_character_block(lines: list[str], n_cols: int, label_idx: int,
                          mapping: dict[str, int]) -> tuple[np.ndarray, np.ndarray] | None:
-    """(cells less ``ord("0")``, label values) of lines of one-character cells, else None.
+    """(feature digits as uint8, label values) of lines of one-character cells, else None.
 
     Every line must hold exactly ``n_cols`` cells, each cell one byte
     followed by a comma (the last by the line end), every feature byte must be
@@ -275,9 +299,9 @@ def _one_character_block(lines: list[str], n_cols: int, label_idx: int,
     cells = np.frombuffer(text, dtype=np.uint8).reshape(len(lines), 2 * n_cols)
     if not (cells[:, 1::2] == np.frombuffer(b"," * (n_cols - 1) + b"\n", dtype=np.uint8)).all():
         return None
-    digits = cells[:, ::2] - np.uint8(ord("0"))  # a byte below "0" wraps above 9
     label_bytes = cells[:, 2 * label_idx]
-    digits[:, label_idx] = 0
+    digits = np.delete(cells[:, ::2], label_idx, axis=1)
+    digits -= np.uint8(ord("0"))  # a byte below "0" wraps above 9
     if digits.max() > 9:
         return None
     values = np.zeros(256)
@@ -341,10 +365,17 @@ def _check_known_profile(ds: Dataset) -> None:
 def min_max_scale(ds: Dataset) -> Dataset:
     """Scale ``ds.features`` column-wise to [0, 1] in place; constant columns map to 0.
 
-    Returns ``ds``. Copy the features first to keep the raw values. A table
-    that is not float64, such as a surrogate's uint8 table, is replaced by a
-    scaled float64 copy.
+    Returns ``ds``. Copy the features first to keep the raw values. A uint8
+    table whose every column spans at most 1, such as a 0/1 table, stays
+    uint8: its scaled value ``(x - lo) / span`` is ``x - lo``, 0 or 1, the
+    value the float64 path gives. Any other table that is not float64 is
+    replaced by a scaled float64 copy.
     """
+    if ds.features.dtype == np.uint8:
+        lo = ds.features.min(axis=0)
+        if (ds.features.max(axis=0) - lo <= 1).all():
+            ds.features -= lo
+            return ds
     if ds.features.dtype != np.float64:
         ds.features = ds.features.astype(np.float64)
     lo = ds.features.min(axis=0)
@@ -364,19 +395,30 @@ def narrow_table(features: np.ndarray) -> np.ndarray:
     own float64 bits, else the table itself.
 
     So a 0/1 indicator table takes one byte per cell, while a table with a
-    fraction, a value outside 0..255 or a -0.0 stays float64.
+    fraction, a value outside 0..255 or a -0.0 stays float64. ``load_csv``
+    builds an unquoted table by this rule as it reads it, so this is for the
+    float64 tables that remain: a quoted body, or a scaled table whose
+    values came out whole (a {0, 2} column scales to 0/1).
     """
     if features.dtype != np.float64:
         return features
     narrow = np.empty(features.shape, dtype=np.uint8)
     for start in range(0, len(features), _NARROW_ROWS):
-        block, out = features[start : start + _NARROW_ROWS], narrow[start : start + _NARROW_ROWS]
-        if block.size and not (block.min() >= 0.0 and block.max() <= 255.0):  # nan fails both
-            return features
-        np.copyto(out, block, casting="unsafe")
-        if not np.array_equal(out.astype(np.float64).view(np.uint64), block.view(np.uint64)):
+        end = start + _NARROW_ROWS
+        if not _narrow_into(features[start:end], narrow[start:end]):
             return features
     return narrow
+
+
+def _narrow_into(block: np.ndarray, out: np.ndarray) -> bool:
+    """Whether every value of the float64 ``block`` is an integer in 0..255 that casts back to
+    its own float64 bits (the rule of ``narrow_table``); ``out``, uint8 of the block's shape,
+    then holds the values. When it is not, ``out`` holds no meaningful values.
+    """
+    if block.size and not (block.min() >= 0.0 and block.max() <= 255.0):  # nan fails both
+        return False
+    np.copyto(out, block, casting="unsafe")
+    return np.array_equal(out.astype(np.float64).view(np.uint64), block.view(np.uint64))
 
 
 def _per_class_test_indices(labels: np.ndarray, fraction: float,

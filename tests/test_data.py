@@ -17,8 +17,10 @@ from fedsim.data import (
     holdout_split,
     load_csv,
     min_max_scale,
+    narrow_table,
     partition_clients,
 )
+from fedsim.manifest import RunManifest
 
 
 def write_csv(path, text):
@@ -185,10 +187,13 @@ class TestLoadCsv:
             assert array.base is None or array.base.nbytes == array.nbytes
 
 
-def reference_load_csv(path, label_column, label_mapping=None, name=None):
+def reference_load_csv(path, label_column, label_mapping=None, name=None, hold=True):
     """Reference loader: csv records, one np.array call per row, numbered by file line.
 
-    load_csv must give the same rows, drops, warnings and errors on the corpus below.
+    load_csv must give the same rows, drops, warnings and errors on the corpus below, and
+    hold its table in the same dtype: with ``hold``, the float64 rows are held as
+    ``narrow_table`` holds them when no body line holds a quote, and as float64 when one
+    does. Without ``hold`` the table is the float64 rows.
     """
     log = logging.getLogger("reference_load_csv")
     path = Path(path)
@@ -204,6 +209,7 @@ def reference_load_csv(path, label_column, label_mapping=None, name=None):
         except StopIteration:
             raise DatasetError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
+        header_lines = reader.line_num
         try:
             label_idx = header.index(label_column)
         except ValueError:
@@ -237,9 +243,13 @@ def reference_load_csv(path, label_column, label_mapping=None, name=None):
 
     if not rows:
         raise DatasetError(f"{path}: no usable data rows")
+    features = np.vstack(rows)
+    text = path.read_bytes().decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
+    if hold and '"' not in "\n".join(text.split("\n")[header_lines:]):
+        features = narrow_table(features)
     ds = Dataset(
         name=name,
-        features=np.vstack(rows),
+        features=features,
         labels=np.asarray(labels, dtype=np.int64),
         feature_names=feature_names,
         n_dropped=dropped,
@@ -369,8 +379,8 @@ def _load_outcome(loader, path, caplog):
         except DatasetError as exc:
             return ("error", str(exc))
     messages = [r.getMessage() for r in caplog.records]
-    return (ds.features.shape, ds.features.tobytes(), ds.labels.tolist(), ds.feature_names,
-            ds.n_dropped, messages)
+    return (ds.features.shape, ds.features.dtype, ds.features.astype(np.float64).tobytes(),
+            ds.labels.tolist(), ds.feature_names, ds.n_dropped, messages)
 
 
 class TestLoaderMatchesRowReference:
@@ -418,7 +428,7 @@ class TestRowsReadByRule:
         assert self._lines_read_by_rule(monkeypatch, p) == list(range(290, 322))
         outcome = _load_outcome(load_csv, p, caplog)
         assert outcome == _load_outcome(reference_load_csv, p, caplog)
-        assert outcome[4] == 1  # n_dropped
+        assert outcome[5] == 1  # n_dropped
 
     def test_a_quoted_body_is_read_by_rule(self, tmp_path, monkeypatch):
         p = write_csv(tmp_path / "t.csv", _multi_block_table(bad_lines=[(600, '1,"2",B,3')]))
@@ -452,12 +462,80 @@ class TestOneCharacterBlocks:
         outcome = _load_outcome(functools.partial(load_csv, label_mapping=mapping), p, caplog)
         assert outcome == _load_outcome(functools.partial(reference_load_csv, label_mapping=mapping),
                                         p, caplog)
-        assert outcome[4] == 1  # n_dropped
+        assert outcome[5] == 1  # n_dropped
 
     def test_other_blocks_call_loadtxt_once_each(self, tmp_path, monkeypatch):
         p = write_csv(tmp_path / "t.csv", _multi_block_table())
         n_blocks = -(-(3 * 256 + 41) // data._BLOCK_LINES)
         assert self._loadtxt_calls(monkeypatch, p) == n_blocks
+
+
+def _resolve_table(edit=None, line_end="\n"):
+    """A 100 x 5 table of 0/1 cells over four 32-line blocks, the label column second.
+
+    ``edit`` changes the rows (lists of cells, the label at index 1) before they are written.
+    """
+    rng = np.random.default_rng(13)
+    rows = [[str(v) for v in rng.integers(0, 2, 5)] for _ in range(100)]
+    for i, row in enumerate(rows):
+        row.insert(1, "BS"[i % 2])
+    if edit is not None:
+        edit(rows)
+    lines = ["f0,class,f1,f2,f3,f4", *(",".join(row) for row in rows)]
+    return line_end.join(lines) + line_end
+
+
+def _set_cells(cells):
+    """An edit that sets the given (row, column) cells."""
+    def edit(rows):
+        for (i, j), cell in cells.items():
+            rows[i][j] = cell
+    return edit
+
+
+def _map_column(j, cell):
+    """An edit that maps every cell of column ``j`` through ``cell``."""
+    def edit(rows):
+        for row in rows:
+            row[j] = cell(row[j])
+    return edit
+
+
+_RESOLVE_TABLES = [
+    pytest.param(_resolve_table(), id="one-character-0-1"),
+    pytest.param(_resolve_table(_set_cells({(99, 0): "0.5"})), id="a-fraction-in-the-last-block"),
+    pytest.param(_resolve_table(_set_cells({(0, 2): "256"})), id="256-in-the-first-block"),
+    pytest.param(_resolve_table(_set_cells({(50, 3): "-0.0"})), id="negative-zero"),
+    pytest.param(_resolve_table(_set_cells({(40, 0): "nan"})), id="a-nan-row"),
+    pytest.param(_resolve_table(_map_column(1, {"B": "goodware", "S": "malware"}.get)),
+                 id="word-labels"),
+    pytest.param(_resolve_table(_set_cells({(70, 4): '"1"'})), id="a-quoted-body"),
+    pytest.param(_resolve_table(line_end="\r\n"), id="crlf"),
+    pytest.param(_resolve_table(_map_column(2, lambda cell: "1")), id="a-constant-column"),
+    pytest.param(_resolve_table(_map_column(3, lambda cell: str(int(cell) + 1))),
+                 id="a-1-2-column"),
+]
+
+
+class TestResolvedTableMatchesTheFloat64Path:
+    """A resolved CSV entry holds the dtype and the float64 bits of the float64 path: the
+    float64 row reference, ``min_max_scale`` when the entry scales, then ``narrow_table``."""
+
+    @pytest.mark.parametrize("scale", [False, True], ids=["raw", "scaled"])
+    @pytest.mark.parametrize("text", _RESOLVE_TABLES)
+    def test_same_dtype_and_bits(self, tmp_path, text, scale):
+        p = write_csv(tmp_path / "toy.csv", text)
+        (tmp_path / "run.ini").write_text(
+            f"[dataset.toy]\npath = toy.csv\nscale = {str(scale).lower()}\n", encoding="utf-8")
+        ds = RunManifest.load(tmp_path / "run.ini").resolve_dataset("toy")
+        reference = reference_load_csv(p, "class", hold=False)
+        assert reference.features.dtype == np.float64
+        if scale:
+            min_max_scale(reference)
+        expected = narrow_table(reference.features)
+        assert ds.features.dtype == expected.dtype
+        assert ds.features.astype(np.float64).tobytes() == expected.astype(np.float64).tobytes()
+        assert ds.labels.tolist() == reference.labels.tolist()
 
 
 class TestHoldoutSplit:
@@ -603,14 +681,20 @@ class TestScalingAndDataset:
         scaled = min_max_scale(Dataset(name="x", features=X, labels=np.zeros(40, np.int64)))
         assert scaled.features.tobytes() == expected.tobytes()
 
-    def test_a_uint8_table_scales_as_its_float64_copy(self):
+    @pytest.mark.parametrize("high", [2, 3, 4])  # column 1 spans 1, 2 or 3
+    def test_a_uint8_table_scales_as_its_float64_copy(self, high):
         X = np.random.default_rng(4).integers(0, 2, size=(40, 5), dtype=np.uint8)
+        X[:, 1] = np.random.default_rng(5).integers(0, high, size=40)
         X[:, 2] = 1
+        X[:, 4] += 1
         expected = min_max_scale(Dataset(name="x", features=X.astype(np.float64),
                                          labels=np.zeros(40, np.int64))).features
-        scaled = min_max_scale(Dataset(name="x", features=X, labels=np.zeros(40, np.int64)))
-        assert scaled.features.dtype == np.float64
-        assert scaled.features.tobytes() == expected.tobytes()
+        features = X.copy()
+        scaled = min_max_scale(Dataset(name="x", features=features, labels=np.zeros(40, np.int64)))
+        # the dtype narrow_table holds the float64 result in; a uint8 result is scaled in place
+        assert scaled.features.dtype == narrow_table(expected).dtype
+        assert (scaled.features is features) == (high <= 2)
+        assert scaled.features.astype(np.float64).tobytes() == expected.tobytes()
 
     def test_constant_column_maps_to_zero(self):
         ds = Dataset(name="x", features=np.array([[3.0, 1.0], [3.0, 2.0]]),

@@ -11,7 +11,7 @@ import pytest
 from fedsim import manifest as manifest_module
 from fedsim.aggregation import AggregationStrategy
 from fedsim.cli import GridCell, expand_grid
-from fedsim.data import load_csv, min_max_scale
+from fedsim.data import load_csv, min_max_scale, narrow_table
 from fedsim.manifest import GRID_AXES, ConfigError, RunManifest
 
 
@@ -260,6 +260,23 @@ class TestResolve:
         assert ds.features.shape == (4000, 59) and ds.features.max() == 1.0
         assert peak < 1.8 * ds.features.nbytes
 
+    def test_a_scaled_0_1_entry_never_holds_a_float64_table(self, tmp_path):
+        rng = np.random.default_rng(6)
+        lines = [",".join([*map(str, rng.integers(0, 2, 59)), "B" if i % 2 else "S"])
+                 for i in range(4000)]
+        (tmp_path / "toy.csv").write_text(
+            ",".join([*(f"f{i}" for i in range(59)), "class"]) + "\n" + "\n".join(lines) + "\n",
+            encoding="utf-8")
+        m = RunManifest.load(write_manifest(tmp_path, "[dataset.toy]\npath = toy.csv\nscale = true\n"))
+        tracemalloc.start()
+        try:
+            ds = m.resolve_dataset("toy")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.features.dtype == np.uint8 and ds.features.shape == (4000, 59)
+        assert peak < 4000 * 59 * 8  # the table's float64 bytes
+
     @pytest.mark.parametrize("cells, scale, dtype", [
         (("0", "1"), False, np.uint8),
         (("0", "7", "255"), False, np.uint8),
@@ -278,9 +295,11 @@ class TestResolve:
             tmp_path, f"[dataset.toy]\npath = toy.csv\nscale = {str(scale).lower()}\n"))
         ds = m.resolve_dataset("toy")
         assert ds.features.dtype == dtype
-        # the load itself stays float64, and the held table has its values to the bit
+        # the load holds its table as narrow_table would, and the held table has the values
+        # of the float64 path (the loaded values as float64, scaled if the entry scales) to the bit
         loaded = load_csv(tmp_path / "toy.csv", "class")
-        assert loaded.features.dtype == np.float64
+        loaded.features, raw = loaded.features.astype(np.float64), loaded.features
+        assert raw.dtype == narrow_table(loaded.features).dtype
         if scale:
             min_max_scale(loaded)
         assert ds.features.astype(np.float64).tobytes() == loaded.features.tobytes()
