@@ -8,7 +8,9 @@ share of every class and are fully determined by their seed.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,10 +69,10 @@ class Dataset:
     """An in-memory feature table with binary labels (1 = malware).
 
     ``features`` is (rows, features), float64 or, for a table of small
-    integers such as 0/1 indicators, uint8 (the rule of ``narrow_table``;
-    ``load_csv`` and the synthetic surrogates build such a table as uint8
-    directly): training and scoring cast only the rows they read to float64,
-    so either dtype gives the same bits.
+    integers such as 0/1 indicators, uint8 (the rule of ``_narrow_into``,
+    applied as the table is written by ``load_csv``, the synthetic
+    surrogates and ``min_max_scale``): training and scoring cast only the
+    rows they read to float64, so either dtype gives the same bits.
     """
 
     name: str
@@ -102,10 +104,10 @@ class ClientShard:
     local_test: np.ndarray
 
 
-# Lines per block (one byte read or np.loadtxt call). A block that holds a
-# line the C reader rejects goes through the row rules whole, so a larger
-# block pays the per-block overhead less often but reads more lines by rule
-# around each bad one.
+# Lines per block (one byte read or np.loadtxt call), and records per block
+# of a quoted body. A block that holds a line the C reader rejects goes
+# through the row rules whole, so a larger block pays the per-block overhead
+# less often but reads more lines by rule around each bad one.
 _BLOCK_LINES = 32
 
 
@@ -121,15 +123,15 @@ def load_csv(path, label_column: str, label_mapping: dict[str, int] | None = Non
     missing from the mapping is an error; an empty label cell drops the row
     like any other missing value.
 
-    A body without a ``"`` is read in blocks of lines (see ``_read_lines``): a
-    block of one-character cells, every feature a digit, straight from its
-    bytes, any other block by numpy's C reader, and a block that fails both by
-    the row rules. Its table is uint8 while every block's values pass
-    ``narrow_table``'s rule, so a 0/1 table takes one byte per cell from the
-    start, and float64 from the first block that fails it. A body with a
-    ``"`` is read record by record through ``csv``, at the speed of a per-row
-    loop, because a quoted cell may hold a comma or a line end; its table is
-    float64.
+    The body is read in blocks (see ``_body_blocks``). A body without a
+    ``"`` is read in blocks of lines: a block of one-character cells, every
+    feature a digit, straight from its bytes, any other block by numpy's C
+    reader, and a block that fails both by the row rules. A body with a
+    ``"`` is read in blocks of records by the row rules alone, at the speed
+    of a per-row loop, because a quoted cell may hold a comma or a line end.
+    Either way the table is uint8 while every block's values pass the rule
+    of ``_narrow_into``, so a 0/1 table takes one byte per cell from the
+    start, and float64 from the first block that fails it.
     """
     path = Path(path)
     if not path.is_file():
@@ -158,14 +160,16 @@ def load_csv(path, label_column: str, label_mapping: dict[str, int] | None = Non
         label_idx = _label_index(path, header, label_column)
         del lines[: records.line_num]  # the header's lines
         # A record spans at least one line, so the lines bound the rows.
-        n_rows, n_features = len(lines), len(header) - 1
-        if any('"' in line for line in lines):
-            del lines  # free it before the rows are read
-            features, labels = np.empty((n_rows, n_features)), np.empty(n_rows, dtype=np.int64)
-            n, dropped = _rows_by_rule(path, records, 0, label_idx, mapping, features, labels)
-        else:
-            features, labels, n, dropped = _read_lines(path, lines, records.line_num, label_idx,
-                                                       mapping, n_features)
+        n_features = len(header) - 1
+        features = np.empty((len(lines), n_features), dtype=np.uint8)
+        labels = np.empty(len(lines), dtype=np.int64)
+        n = dropped = 0
+        for rows, block_labels, block_dropped in _body_blocks(path, records, lines, label_idx,
+                                                              mapping, n_features):
+            features = _write_rows(features, n, rows)
+            labels[n : n + len(rows)] = block_labels
+            n += len(rows)
+            dropped += block_dropped
     if not n:
         raise DatasetError(f"{path}: no usable data rows")
     if n < len(labels):  # own the kept rows, so the buffer sized for every line is freed
@@ -208,42 +212,46 @@ def _label_index(path: Path, header: list[str], label_column: str) -> int:
     return positions[0]
 
 
-def _read_lines(path: Path, lines: list[str], offset: int, label_idx: int, mapping: dict[str, int],
-                n_features: int) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """(features, labels, kept, dropped) of unquoted body lines, read in blocks.
+def _body_blocks(path: Path, records, lines: list[str], label_idx: int, mapping: dict[str, int],
+                 n_features: int) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """(float64 or uint8 features, labels, dropped) of each block of the body, kept rows only.
 
-    ``offset`` is the file line before the first of ``lines``. A block the C
-    reader rejects goes through the row rules. Both arrays are sized for every
-    line, the kept rows first; the features are uint8 until a block fails
-    ``narrow_table``'s rule (see ``_write_rows``).
+    ``records`` is the ``csv.reader`` of the file past its header and ``lines``
+    the body's lines. Unquoted lines go in blocks of ``_BLOCK_LINES`` to
+    ``_read_block``, and a block it rejects through the row rules. A body
+    with a ``"`` goes through the row rules ``_BLOCK_LINES`` records at a
+    time; its ``lines`` are cleared first, to free them. The row rules write
+    into one float64 scratch, so their rows are valid until the next block.
     """
-    features = np.empty((len(lines), n_features), dtype=np.uint8)
-    labels = np.empty(len(lines), dtype=np.int64)
-    n = dropped = 0
+    scratch = np.empty((_BLOCK_LINES, n_features)), np.empty(_BLOCK_LINES, dtype=np.int64)
+    if any('"' in line for line in lines):
+        lines.clear()
+        while True:
+            rows, block_labels, dropped = _rows_by_rule(path, records, 0, label_idx, mapping,
+                                                        *scratch)
+            yield rows, block_labels, dropped
+            if len(rows) + dropped < _BLOCK_LINES:  # the records ran out
+                return
+    offset = records.line_num  # the file line before the first body line
     for start in range(0, len(lines), _BLOCK_LINES):
         block = lines[start : start + _BLOCK_LINES]
         try:
-            rows, block_labels = _read_block(block, label_idx, mapping, n_features)
-            labels[n : n + len(rows)] = block_labels
+            found = *_read_block(block, label_idx, mapping, n_features), 0
         except ValueError:
-            rows = np.empty((len(block), n_features))
-            kept, block_dropped = _rows_by_rule(path, csv.reader(block), offset + start, label_idx,
-                                                mapping, rows, labels[n:])
-            rows = rows[:kept]
-            dropped += block_dropped
-        features = _write_rows(features, n, rows)
-        n += len(rows)
-    return features, labels, n, dropped
+            found = _rows_by_rule(path, csv.reader(block), offset + start, label_idx, mapping,
+                                  *scratch)
+        yield found
 
 
 def _write_rows(features: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
     """``features`` with ``rows`` written from row ``n`` on, widened to float64 if need be.
 
     uint8 ``rows`` (digits) and any rows of a float64 table are written as
-    they are; float64 rows go into a uint8 table when they pass
-    ``narrow_table``'s rule (``_narrow_into``). At the first rows that fail
-    it, the table is widened once: its rows so far are copied to float64,
-    exactly, and the returned table is that copy.
+    they are; float64 rows, from numpy's C reader or the row rules, quoted
+    body or not, go into a uint8 table when they pass ``_narrow_into``'s
+    rule. At the first rows that fail it, the table is widened once: its rows
+    so far are copied to float64, exactly, and the returned table is that
+    copy.
     """
     out = features[n : n + len(rows)]
     if features.dtype == rows.dtype or features.dtype == np.float64:
@@ -315,8 +323,9 @@ def _one_character_block(lines: list[str], n_cols: int, label_idx: int,
 
 
 def _rows_by_rule(path: Path, records, offset: int, label_idx: int, mapping: dict[str, int],
-                  features: np.ndarray, labels: np.ndarray) -> tuple[int, int]:
-    """(kept, dropped) of a ``csv.reader``'s records, read one at a time, kept rows written first.
+                  features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(features, labels, dropped) of the next ``len(features)`` records of a ``csv.reader``,
+    read one at a time: the kept rows are written first and returned as views.
 
     A row is dropped when its length differs from the header's, its label is
     empty, or a feature cell is not a finite number; an unknown label is an
@@ -324,7 +333,7 @@ def _rows_by_rule(path: Path, records, offset: int, label_idx: int, mapping: dic
     """
     n_cols = features.shape[1] + 1
     n = dropped = 0
-    for row in records:
+    for row in itertools.islice(records, len(features)):
         if len(row) != n_cols:
             dropped += 1
             continue
@@ -345,7 +354,7 @@ def _rows_by_rule(path: Path, records, offset: int, label_idx: int, mapping: dic
             continue
         labels[n] = mapping[raw_label.lower()]
         n += 1
-    return n, dropped
+    return features[:n], labels[:n], dropped
 
 
 def _check_known_profile(ds: Dataset) -> None:
@@ -366,15 +375,16 @@ def min_max_scale(ds: Dataset) -> Dataset:
     """Scale ``ds.features`` column-wise to [0, 1] in place; constant columns map to 0.
 
     Returns ``ds``. Copy the features first to keep the raw values. A uint8
-    table whose every column spans at most 1, such as a 0/1 table, stays
-    uint8: its scaled value ``(x - lo) / span`` is ``x - lo``, 0 or 1, the
-    value the float64 path gives. Any other table that is not float64 is
-    replaced by a scaled float64 copy.
+    table whose every column holds at most two values, such as a 0/1 or a
+    {0, 2} table, stays uint8: its scaled value ``(x - lo) / (hi - lo)`` is
+    ``x != lo``, 0 or 1, the value the float64 path gives. Any other table
+    that is not float64 is replaced by a scaled float64 copy, and a float64
+    table stays float64 whatever its scaled values.
     """
     if ds.features.dtype == np.uint8:
-        lo = ds.features.min(axis=0)
-        if (ds.features.max(axis=0) - lo <= 1).all():
-            ds.features -= lo
+        lo, hi = ds.features.min(axis=0), ds.features.max(axis=0)
+        if (hi - lo <= 1).all() or ((ds.features == lo) | (ds.features == hi)).all():
+            np.not_equal(ds.features, lo, out=ds.features)
             return ds
     if ds.features.dtype != np.float64:
         ds.features = ds.features.astype(np.float64)
@@ -385,35 +395,15 @@ def min_max_scale(ds: Dataset) -> Dataset:
     return ds
 
 
-# Rows per block when narrowing a table: a block's checks stay in cache and make
-# no table-sized temporary.
-_NARROW_ROWS = 256
-
-
-def narrow_table(features: np.ndarray) -> np.ndarray:
-    """A float64 table as uint8 when every value is an integer in 0..255 that casts back to its
-    own float64 bits, else the table itself.
-
-    So a 0/1 indicator table takes one byte per cell, while a table with a
-    fraction, a value outside 0..255 or a -0.0 stays float64. ``load_csv``
-    builds an unquoted table by this rule as it reads it, so this is for the
-    float64 tables that remain: a quoted body, or a scaled table whose
-    values came out whole (a {0, 2} column scales to 0/1).
-    """
-    if features.dtype != np.float64:
-        return features
-    narrow = np.empty(features.shape, dtype=np.uint8)
-    for start in range(0, len(features), _NARROW_ROWS):
-        end = start + _NARROW_ROWS
-        if not _narrow_into(features[start:end], narrow[start:end]):
-            return features
-    return narrow
-
-
 def _narrow_into(block: np.ndarray, out: np.ndarray) -> bool:
     """Whether every value of the float64 ``block`` is an integer in 0..255 that casts back to
-    its own float64 bits (the rule of ``narrow_table``); ``out``, uint8 of the block's shape,
-    then holds the values. When it is not, ``out`` holds no meaningful values.
+    its own float64 bits; ``out``, uint8 of the block's shape, then holds the values. When it
+    is not, ``out`` holds no meaningful values.
+
+    This is the one rule for holding a table as uint8: a 0/1 indicator table
+    takes one byte per cell, while a table with a fraction, a value outside
+    0..255 or a -0.0 stays float64. ``load_csv`` applies it block by block as
+    it writes its table, and ``synth`` and ``min_max_scale`` keep to it.
     """
     if block.size and not (block.min() >= 0.0 and block.max() <= 255.0):  # nan fails both
         return False

@@ -101,7 +101,7 @@ class ClientState(Sequence):
         def train(group: np.ndarray) -> list[float]:
             lo, hi = group[0], group[-1] + 1
             stack, clients = self.params[lo:hi], self.clients[lo:hi]
-            data = clients[0].shard.data  # every shard indexes one table, checked by setup_repeat
+            data = clients[0].shard.data  # partition_clients builds every shard on one table
             sgd_epochs(stack, self.layer_dims, data.features, data.labels,
                        [c.shard.train for c in clients], cfg, rngs[lo:hi], loss=False)
             diverged = [c.client_id for c, row in zip(clients, stack) if not np.isfinite(row).all()]

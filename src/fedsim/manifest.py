@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .aggregation import AggregationStrategy
-from .data import KNOWN_DATASETS, Dataset, _read_text, load_csv, min_max_scale, narrow_table
+from .data import KNOWN_DATASETS, Dataset, _read_text, load_csv, min_max_scale
 from .federation import ExperimentConfig
 from .nn import TrainConfig
 from .synth import SURROGATES, resolve_synthetic
@@ -212,7 +212,6 @@ class RunManifest:
         ds = load_csv(entry.path, entry.label_column, entry.label_map, name=key)
         if entry.scale:
             min_max_scale(ds)
-        ds.features = narrow_table(ds.features)
         return ds
 
 

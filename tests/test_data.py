@@ -17,7 +17,6 @@ from fedsim.data import (
     holdout_split,
     load_csv,
     min_max_scale,
-    narrow_table,
     partition_clients,
 )
 from fedsim.manifest import RunManifest
@@ -26,6 +25,12 @@ from fedsim.manifest import RunManifest
 def write_csv(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def held(features):
+    """A float64 table as the loader holds it: uint8 when ``_narrow_into``'s rule allows."""
+    out = np.empty(features.shape, dtype=np.uint8)
+    return out if data._narrow_into(features, out) else features
 
 
 def class_counts(labels):
@@ -170,8 +175,9 @@ class TestLoadCsv:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert ds.features.shape == (4000, 60)
-        assert peak < 2 * ds.features.nbytes
+        # read in blocks of records straight into uint8, never as a float64 table
+        assert ds.features.shape == (4000, 60) and ds.features.dtype == np.uint8
+        assert peak < 4000 * 60 * 8
 
     @pytest.mark.parametrize("bad_lines", [
         pytest.param([(300, "1,?,B,2")], id="a-dropped-row"),
@@ -191,9 +197,9 @@ def reference_load_csv(path, label_column, label_mapping=None, name=None, hold=T
     """Reference loader: csv records, one np.array call per row, numbered by file line.
 
     load_csv must give the same rows, drops, warnings and errors on the corpus below, and
-    hold its table in the same dtype: with ``hold``, the float64 rows are held as
-    ``narrow_table`` holds them when no body line holds a quote, and as float64 when one
-    does. Without ``hold`` the table is the float64 rows.
+    hold its table in the same dtype: with ``hold``, the float64 rows are held by
+    ``_narrow_into``'s rule (``held``), quoted body or not. Without ``hold`` the table is
+    the float64 rows.
     """
     log = logging.getLogger("reference_load_csv")
     path = Path(path)
@@ -209,7 +215,6 @@ def reference_load_csv(path, label_column, label_mapping=None, name=None, hold=T
         except StopIteration:
             raise DatasetError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
-        header_lines = reader.line_num
         try:
             label_idx = header.index(label_column)
         except ValueError:
@@ -244,9 +249,8 @@ def reference_load_csv(path, label_column, label_mapping=None, name=None, hold=T
     if not rows:
         raise DatasetError(f"{path}: no usable data rows")
     features = np.vstack(rows)
-    text = path.read_bytes().decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
-    if hold and '"' not in "\n".join(text.split("\n")[header_lines:]):
-        features = narrow_table(features)
+    if hold:
+        features = held(features)
     ds = Dataset(
         name=name,
         features=features,
@@ -518,8 +522,10 @@ _RESOLVE_TABLES = [
 
 
 class TestResolvedTableMatchesTheFloat64Path:
-    """A resolved CSV entry holds the dtype and the float64 bits of the float64 path: the
-    float64 row reference, ``min_max_scale`` when the entry scales, then ``narrow_table``."""
+    """A resolved CSV entry holds the float64 bits of the float64 path: the float64 row
+    reference, then ``min_max_scale`` when the entry scales. It holds them as uint8 when the
+    loaded values and, for a scaled entry, the scaled values pass ``_narrow_into``'s rule;
+    a table loaded as float64 stays float64 when scaled."""
 
     @pytest.mark.parametrize("scale", [False, True], ids=["raw", "scaled"])
     @pytest.mark.parametrize("text", _RESOLVE_TABLES)
@@ -530,9 +536,10 @@ class TestResolvedTableMatchesTheFloat64Path:
         ds = RunManifest.load(tmp_path / "run.ini").resolve_dataset("toy")
         reference = reference_load_csv(p, "class", hold=False)
         assert reference.features.dtype == np.float64
+        expected = held(reference.features)
         if scale:
             min_max_scale(reference)
-        expected = narrow_table(reference.features)
+            expected = held(reference.features) if expected.dtype == np.uint8 else reference.features
         assert ds.features.dtype == expected.dtype
         assert ds.features.astype(np.float64).tobytes() == expected.astype(np.float64).tobytes()
         assert ds.labels.tolist() == reference.labels.tolist()
@@ -681,19 +688,21 @@ class TestScalingAndDataset:
         scaled = min_max_scale(Dataset(name="x", features=X, labels=np.zeros(40, np.int64)))
         assert scaled.features.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("high", [2, 3, 4])  # column 1 spans 1, 2 or 3
-    def test_a_uint8_table_scales_as_its_float64_copy(self, high):
+    @pytest.mark.parametrize("column", [(0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 2), (3, 7)],
+                             ids=["0-1", "0-1-2", "0-1-2-3", "0-2", "3-7"])  # column 1's values
+    def test_a_uint8_table_scales_as_its_float64_copy(self, column):
         X = np.random.default_rng(4).integers(0, 2, size=(40, 5), dtype=np.uint8)
-        X[:, 1] = np.random.default_rng(5).integers(0, high, size=40)
+        X[:, 1] = np.resize(column, 40)
         X[:, 2] = 1
         X[:, 4] += 1
         expected = min_max_scale(Dataset(name="x", features=X.astype(np.float64),
                                          labels=np.zeros(40, np.int64))).features
         features = X.copy()
         scaled = min_max_scale(Dataset(name="x", features=features, labels=np.zeros(40, np.int64)))
-        # the dtype narrow_table holds the float64 result in; a uint8 result is scaled in place
-        assert scaled.features.dtype == narrow_table(expected).dtype
-        assert (scaled.features is features) == (high <= 2)
+        # the dtype the float64 result is held in; a uint8 result is scaled in place, which
+        # it is when every column holds at most two values
+        assert scaled.features.dtype == held(expected).dtype
+        assert (scaled.features is features) == (len(column) <= 2)
         assert scaled.features.astype(np.float64).tobytes() == expected.tobytes()
 
     def test_constant_column_maps_to_zero(self):

@@ -198,6 +198,37 @@ class TestRunRound:
             assert abs(report.betas_after_update.sum() - 1.0) <= 1e-9
             assert report.client_local_acc.size == cfg.n_clients
 
+    def test_a_server_whose_scoring_raises_keeps_its_old_state(self, small_dataset, monkeypatch):
+        cfg = small_config()
+        holdout, clients, params, idx = setup_repeat(cfg, small_dataset, run_seed=5)
+        _, alone_clients, _, _ = setup_repeat(cfg, small_dataset, run_seed=5)
+        fedavg_params, _, report = server_round(
+            params, alone_clients, idx, dataclasses.replace(cfg, strategy=AggregationStrategy.FEDAVG),
+            holdout=holdout, run_seed=5, round_num=1)
+        # round one gives both servers one vector; the first scoring of it raises, so the
+        # second server scores it again
+        calls = []
+        real_evaluate = federation.evaluate_scores
+
+        def evaluate(scores, labels):
+            calls.append(1)
+            if len(calls) == 1:
+                raise FloatingPointError("scoring failed")
+            return real_evaluate(scores, labels)
+
+        monkeypatch.setattr(federation, "evaluate_scores", evaluate)
+        failing = ServerState(AggregationStrategy.DW_FEDAVG, params.copy(), idx)
+        other = ServerState(AggregationStrategy.FEDAVG, params.copy(), idx)
+        old_params = failing.params
+        run_round(params, clients, [failing, other], cfg, holdout=holdout, run_seed=5, round_num=1)
+        assert len(calls) == 2
+        assert isinstance(failing.error, FloatingPointError)
+        assert failing.params is old_params and failing.params.tobytes() == params.tobytes()
+        assert failing.idx is idx and failing.rounds == []
+        assert other.error is None and [r.round for r in other.rounds] == [1]
+        assert other.params.tobytes() == fedavg_params.tobytes() != params.tobytes()
+        assert other.rounds[0].global_metrics == report.global_metrics
+
 
 class TestSetupRepeat:
     def test_shards_index_the_dataset_and_leave_out_only_the_holdout_rows(self, small_dataset):

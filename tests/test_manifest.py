@@ -11,7 +11,7 @@ import pytest
 from fedsim import manifest as manifest_module
 from fedsim.aggregation import AggregationStrategy
 from fedsim.cli import GridCell, expand_grid
-from fedsim.data import load_csv, min_max_scale, narrow_table
+from fedsim.data import _narrow_into, load_csv, min_max_scale
 from fedsim.manifest import GRID_AXES, ConfigError, RunManifest
 
 
@@ -286,6 +286,8 @@ class TestResolve:
         (("-1", "1"), False, np.float64),
         (("-0.0", "1"), False, np.float64),  # equal to 0, but not its bits
         (("0", "3", "9"), True, np.float64),  # a scaled count column holds fractions
+        (("0", "2"), True, np.uint8),  # a two-valued column scales to 0/1 in place
+        (("-1", "1"), True, np.float64),  # loaded as float64, so scaled as float64
     ])
     def test_a_loaded_table_is_held_as_uint8_when_its_values_allow(self, tmp_path, cells, scale, dtype):
         lines = [f"{cells[i % len(cells)]},{i % 2},{'BS'[i // 2 % 2]}" for i in range(12)]
@@ -295,11 +297,12 @@ class TestResolve:
             tmp_path, f"[dataset.toy]\npath = toy.csv\nscale = {str(scale).lower()}\n"))
         ds = m.resolve_dataset("toy")
         assert ds.features.dtype == dtype
-        # the load holds its table as narrow_table would, and the held table has the values
+        # the load holds its table by _narrow_into's rule, and the held table has the values
         # of the float64 path (the loaded values as float64, scaled if the entry scales) to the bit
         loaded = load_csv(tmp_path / "toy.csv", "class")
         loaded.features, raw = loaded.features.astype(np.float64), loaded.features
-        assert raw.dtype == narrow_table(loaded.features).dtype
+        narrow = np.empty(raw.shape, dtype=np.uint8)
+        assert (raw.dtype == np.uint8) == _narrow_into(loaded.features, narrow)
         if scale:
             min_max_scale(loaded)
         assert ds.features.astype(np.float64).tobytes() == loaded.features.tobytes()
