@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import _blas
 from .aggregation import AggregationStrategy
-from .data import DatasetError, _read_text
+from .data import Dataset, DatasetError, _read_text
 from .federation import ExperimentConfig, ExperimentResult, FamilyResult, run_family, split_repeat
 from .federation import run_experiment  # noqa: F401  (a name perfbench/tracing.py wraps)
 from .manifest import GRID_AXES, GRID_PRESETS, SETTINGS, ConfigError, RunManifest, _directory
@@ -144,16 +144,18 @@ def format_summary_table(rows: list[dict[str, str]]) -> str:
 
 
 def run_cells(
-    manifest: RunManifest, configs: dict[GridCell, ExperimentConfig], threads: int = 1, *,
+    datasets: dict[str, Dataset], configs: dict[GridCell, ExperimentConfig], threads: int = 1, *,
     on_cell: Callable[[GridCell, ExperimentResult], None],
 ) -> tuple[list[dict[str, str]], dict[str, FamilyResult]]:
     """Run the cells family by family; returns (summary rows, family results by family name).
 
     A family is the cells of one dataset and client count (``GridCell.family``).
     Its configs differ only in strategy and rounds, so ``run_family`` trains
-    them on one client population. Families start in grid order. Up to
-    ``threads`` families run at once, each training on one thread; a lone
-    family, or families run one at a time, train on ``threads`` threads each.
+    them on one client population, on the table ``datasets`` holds under the
+    cells' dataset name (the families of one dataset share it). Families start
+    in grid order. Up to ``threads`` families run at once, each training on
+    one thread; a lone family, or families run one at a time, train on
+    ``threads`` threads each.
     As a family finishes, ``on_cell(cell, result)`` is called for each of its
     finished cells, on the thread that ran it; an error it raises fails that
     cell. Every family runs, whatever fails; then the first failed cell in
@@ -165,8 +167,8 @@ def run_cells(
 
     def one(cells: list[GridCell], family_threads: int) -> FamilyResult:
         try:
-            family = run_family([configs[cell] for cell in cells],
-                                manifest.resolve_dataset(cells[0].dataset), threads=family_threads)
+            family = run_family([configs[cell] for cell in cells], datasets[cells[0].dataset],
+                                threads=family_threads)
         except Exception as exc:  # noqa: BLE001 - it fails this family's cells alone
             return FamilyResult([exc] * len(cells), 0, 0.0)
         for i, (cell, result) in enumerate(zip(cells, family.results)):
@@ -205,12 +207,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         configs = {cell: cell_config(manifest, cell) for cell in cells}
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    # Every grid dataset is loaded, and every family repeat's holdout split and
-    # client partition made, here, where an error exits before any output; the
-    # cells read the dataset from the manifest's cache. One config per family is
-    # checked: its cells share the dataset, the network widths and the splits.
+    # The one place a run loads its datasets: each grid dataset once, in grid
+    # order, before any split, and the cells train on these tables. Every family
+    # repeat's holdout split and client partition is made here too, so an error
+    # exits before any output. One config per family is checked: its cells share
+    # the dataset, the network widths and the splits.
+    datasets = {name: manifest.resolve_dataset(name) for name in manifest.grid["datasets"]}
     for config in {cell.family(): config for cell, config in configs.items()}.values():
-        dataset = manifest.resolve_dataset(config.dataset)
+        dataset = datasets[config.dataset]
         try:
             config.check_input_width(dataset.n_features)
         except ValueError as exc:
@@ -233,7 +237,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         # Held across the grid so the thread count read here is the one training ran with.
         with _blas.one_blas_thread() as blas_threads:
-            rows, families = run_cells(manifest, configs, threads=args.threads,
+            rows, families = run_cells(datasets, configs, threads=args.threads,
                                        on_cell=save_round_log)
     except BaseException:
         if created and not any(out_dir.iterdir()):  # leave no empty directory behind

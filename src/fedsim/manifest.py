@@ -19,7 +19,6 @@ from __future__ import annotations
 import configparser
 import logging
 import os
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -113,10 +112,6 @@ class RunManifest:
     output: dict[str, Path] = field(default_factory=lambda: {"dir": Path("results")})
     base_dir: Path = Path(".")
 
-    def __post_init__(self) -> None:
-        self._cache: dict[str, Dataset] = {}
-        self._cache_lock = threading.Lock()
-
     @classmethod
     def load(cls, path) -> "RunManifest":
         path = Path(path)
@@ -166,14 +161,15 @@ class RunManifest:
             self._locate(name)
 
     def resolve_dataset(self, name: str) -> Dataset:
-        """Load (and cache) a dataset by name; thread-safe."""
+        """Load a dataset by name; every call loads it anew, so load each one once."""
         key = name.strip().lower()
-        # One lock around check, load and store: concurrent cells asking for
-        # the same name wait for the first load instead of repeating it.
-        with self._cache_lock:
-            if key not in self._cache:
-                self._cache[key] = self._load_dataset(key)
-            return self._cache[key]
+        entry = self._locate(key)
+        if entry is None:
+            return resolve_synthetic(key)
+        ds = load_csv(entry.path, entry.label_column, entry.label_map, name=key)
+        if entry.scale:
+            min_max_scale(ds)
+        return ds
 
     def _locate(self, name: str) -> DatasetEntry | None:
         """The entry to load ``name`` from, with its path resolved; None for a synth-* name."""
@@ -204,15 +200,6 @@ class RunManifest:
                 f"${DATA_DIR_ENV} or ./data; fetch the dataset (see README) or "
                 f"use 'synth-{key}' for the bundled surrogate")
         raise ConfigError(f"unknown dataset '{key}' (no manifest entry, not a synth-* name)")
-
-    def _load_dataset(self, key: str) -> Dataset:
-        entry = self._locate(key)
-        if entry is None:
-            return resolve_synthetic(key)
-        ds = load_csv(entry.path, entry.label_column, entry.label_map, name=key)
-        if entry.scale:
-            min_max_scale(ds)
-        return ds
 
 
 def _first_file(candidates) -> Path | None:

@@ -246,6 +246,34 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o")]) == EXIT_OK
         assert seen == trained_on
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("dataset, loader", [("synth-small", "resolve_synthetic"),
+                                                 ("toy", "load_csv")])
+    def test_a_grid_dataset_is_loaded_once_and_its_families_share_the_table(
+            self, tmp_path, monkeypatch, dataset, loader, threads):
+        rows = "".join(f"{i % 7},{i % 3},{'BS'[i % 2]}\n" for i in range(200))
+        (tmp_path / "toy.csv").write_text("f0,f1,class\n" + rows, encoding="utf-8")
+        manifest = write(tmp_path, "[dataset.toy]\npath = toy.csv\nscale = true\n")
+        real_load, real_family, loaded, trained_on = (
+            getattr(manifest_module, loader), cli.run_family, [], [])
+
+        def spy_load(*args, **kwargs):
+            loaded.append(real_load(*args, **kwargs))
+            return loaded[-1]
+
+        def spy_family(cfgs, table, **kwargs):
+            trained_on.append(table)
+            return real_family(cfgs, table, **kwargs)
+
+        monkeypatch.setattr(manifest_module, loader, spy_load)
+        monkeypatch.setattr(cli, "run_family", spy_family)
+        assert main(["run", "--manifest", str(manifest), "--dataset", dataset,
+                     "--clients", "3,4", "--rounds", "1", "--repeats", "1",
+                     "--strategy", "fedavg", "--threads", threads,
+                     "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert len(loaded) == 1
+        assert len(trained_on) == 2 and all(table is loaded[0] for table in trained_on)
+
     def test_missing_manifest_is_exit_two(self, tmp_path, capsys):
         code = main(["run", "--manifest", str(tmp_path / "missing.ini")])
         assert code == EXIT_CONFIG
@@ -738,6 +766,16 @@ class TestCompareCommand:
         assert deltas[0]["f1_delta_pp"] == "+5.000"
         assert deltas[0]["auc_delta_pp"] == "+5.000"
         assert deltas[0]["fpr_delta_pp"] == "-5.000"
+
+    @pytest.mark.parametrize("missing", ["a", "b"])
+    def test_missing_summary_file_is_exit_two_naming_it(self, tmp_path, capsys, missing):
+        paths = {"a": make_summary(tmp_path, "a.csv", [summary_row()]),
+                 "b": make_summary(tmp_path, "b.csv", [summary_row()])}
+        paths[missing] = tmp_path / "gone.csv"
+        assert main(["compare", str(paths["a"]), str(paths["b"])]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: summary file not found: {paths[missing]}\n"
+        assert captured.out == ""
 
     def test_key_mismatch_is_exit_two(self, tmp_path, capsys):
         a = make_summary(tmp_path, "a.csv", [summary_row(clients="5")])

@@ -77,6 +77,7 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             small_config(repeats=0)
         for field, value in [("alpha", 0.0), ("alpha", 1.0), ("alpha", 1.5),
+                             ("holdout_fraction", 0.0), ("holdout_fraction", 1.0),
                              ("local_test_fraction", 0.0), ("local_test_fraction", 1.0),
                              ("hidden_dims", (8, 0))]:
             with pytest.raises(ValueError, match=field):

@@ -1,14 +1,11 @@
 """Manifest parsing and dataset resolution tests."""
 import re
-import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedsim import manifest as manifest_module
 from fedsim.aggregation import AggregationStrategy
 from fedsim.cli import GridCell, expand_grid
 from fedsim.data import _narrow_into, load_csv, min_max_scale
@@ -164,6 +161,11 @@ class TestLoad:
             RunManifest.load(path)
         assert str(err.value) == f"{path}: [defaults] {key}: {reason}"
 
+    @pytest.mark.parametrize("labels", ["B:0, S:1,", "B:0, , S:1", ", B:0, S:1"])
+    def test_an_empty_label_map_entry_is_skipped(self, tmp_path, labels):
+        path = write_manifest(tmp_path, f"[dataset.x]\npath = x.csv\nlabels = {labels}\n")
+        assert RunManifest.load(path).datasets["x"].label_map == {"B": 0, "S": 1}
+
     @pytest.mark.parametrize("labels, twice", [("B:0, b:1, S:1", "b"), ("B:0, S:1, s:1", "s")])
     def test_label_mapped_twice_is_config_error(self, tmp_path, labels, twice):
         path = write_manifest(tmp_path, f"[dataset.x]\npath = x.csv\nlabels = {labels}\n")
@@ -213,26 +215,6 @@ class TestResolve:
     def test_synthetic_names_resolve_without_files(self):
         ds = RunManifest().resolve_dataset("synth-small")
         assert len(ds) == 800
-
-    def test_resolution_is_cached(self):
-        m = RunManifest()
-        assert m.resolve_dataset("synth-small") is m.resolve_dataset("synth-small")
-
-    def test_concurrent_resolution_loads_once(self, monkeypatch):
-        real = manifest_module.resolve_synthetic
-        loads = []
-
-        def slow_counting(name):
-            loads.append(name)
-            time.sleep(0.2)
-            return real(name)
-
-        monkeypatch.setattr(manifest_module, "resolve_synthetic", slow_counting)
-        m = RunManifest()
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            first, second = pool.map(m.resolve_dataset, ["synth-small", "synth-small"])
-        assert loads == ["synth-small"]
-        assert first is second
 
     def test_manifest_entry_resolves_relative_to_manifest_dir(self, tmp_path):
         write_toy_csv(tmp_path / "toy.csv")
