@@ -96,10 +96,8 @@ class Dataset:
 
 @dataclass
 class ClientShard:
-    """One client's private slice of a shared table: its training rows and local test rows."""
+    """One client's private slice of a shared table: its training and local test row indices."""
 
-    client_id: int
-    data: Dataset
     train: np.ndarray
     local_test: np.ndarray
 
@@ -457,11 +455,10 @@ def partition_clients(ds: Dataset, rows: np.ndarray, n_clients: int,
     """Deal the ``rows`` of ``ds`` out into IID client shards with inner local splits.
 
     Shards are disjoint, cover ``rows`` and differ in size by at most one
-    (earlier clients absorb the remainder); each holds ``ds`` itself and index
-    arrays into it, in the order of ``rows``. Within each shard a per-class
-    split reserves ``local_test_fraction`` for the client's own accuracy
-    measurement; both sides of that inner split keep at least one sample per
-    class.
+    (earlier clients absorb the remainder); each holds index arrays into
+    ``ds``, in the order of ``rows``. Within each shard a per-class split
+    reserves ``local_test_fraction`` for the client's own accuracy measurement;
+    both sides of that inner split keep at least one sample per class.
     """
     if n_clients < 2:
         raise ValueError(f"n_clients must be >= 2, got {n_clients}")
@@ -491,5 +488,5 @@ def partition_clients(ds: Dataset, rows: np.ndarray, n_clients: int,
             raise DatasetError(f"{ds.name}: client {cid}: {exc}; too few samples per client") from None
         local_mask = np.ones(size, dtype=bool)
         local_mask[local_pick] = False
-        shards.append(ClientShard(cid, ds, chunk[local_mask], chunk[np.sort(local_pick)]))
+        shards.append(ClientShard(chunk[local_mask], chunk[np.sort(local_pick)]))
     return shards

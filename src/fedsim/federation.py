@@ -1,10 +1,10 @@
 """The simulated federated loop: broadcast, local training, aggregation, evaluation.
 
 One process plays every role. The privacy boundary is the return of
-``ClientState.local_update``: a client reads only its own rows of the shared
-table, and only parameter vectors and scalar accuracies reach the server
-loop. The server additionally owns the global holdout split, which was never
-issued to any client.
+``ClientState.local_update``: a client reads only its own rows of the table
+the ``ClientState`` holds, and only parameter vectors and scalar accuracies
+reach the server loop. The server additionally owns the global holdout split,
+which was never issued to any client.
 
 All randomness derives from (master_seed + repeat index); each client gets an
 independent per-round stream. Nothing in a repeat's set-up or rounds reads
@@ -61,7 +61,7 @@ def _client_rng(run_seed: int, round_num: int, client_id: int) -> np.random.Gene
 
 
 class Client(NamedTuple):
-    """One participant: its id and its private shard of the shared table."""
+    """One participant: its id and its private shard of the repeat's table."""
 
     client_id: int
     shard: ClientShard
@@ -71,9 +71,11 @@ class Client(NamedTuple):
 class ClientState(Sequence):
     """The client records of one repeat, in client order, and their networks of ``layer_dims``.
 
-    Client k's network is row k of the (K, P) array ``params``.
+    Every client's shard indexes the one table ``data``. Client k's network
+    is row k of the (K, P) array ``params``.
     """
 
+    data: Dataset
     clients: list[Client]
     layer_dims: list[int]
     params: np.ndarray
@@ -97,11 +99,11 @@ class ClientState(Sequence):
         id whose training left a parameter non-finite, whatever the split.
         """
         self.params[:] = global_params
+        data = self.data
 
         def train(group: np.ndarray) -> list[float]:
             lo, hi = group[0], group[-1] + 1
             stack, clients = self.params[lo:hi], self.clients[lo:hi]
-            data = clients[0].shard.data  # partition_clients builds every shard on one table
             sgd_epochs(stack, self.layer_dims, data.features, data.labels,
                        [c.shard.train for c in clients], cfg, rngs[lo:hi], loss=False)
             diverged = [c.client_id for c, row in zip(clients, stack) if not np.isfinite(row).all()]
@@ -301,17 +303,17 @@ def setup_repeat(
     """Split, shard and initialize one repeat; returns (holdout, clients, params, index).
 
     The holdout is the one copy of feature rows, in the table's dtype; the
-    shards index ``dataset``. The labels are checked to be 0/1 here, once
-    per repeat, not by each training call. The clients' stack is left unset:
-    every round's broadcast overwrites it.
+    clients hold ``dataset``, and their shards index it. The labels are checked
+    to be 0/1 here, once per repeat, not by each training call. The clients'
+    stack is left unset: every round's broadcast overwrites it.
     """
     _check_labels(dataset.labels, len(dataset.features))
     test, shards = split_repeat(cfg, dataset, run_seed)
     holdout = Dataset(dataset.name, dataset.features[test], dataset.labels[test])
     global_net = init_network(dataset.features.shape[1], list(cfg.hidden_dims),
                               seed=derive_seed(run_seed, _DOMAIN_INIT))
-    clients = ClientState([Client(s.client_id, s) for s in shards], global_net.layer_dims,
-                          np.empty((len(shards), global_net.n_params)))
+    clients = ClientState(dataset, [Client(i, s) for i, s in enumerate(shards)],
+                          global_net.layer_dims, np.empty((len(shards), global_net.n_params)))
     return holdout, clients, global_net.params, PriorityIndex.uniform(cfg.n_clients, cfg.alpha)
 
 

@@ -93,6 +93,11 @@ class TestDwFedavg:
         idx = PriorityIndex.uniform(3)
         with pytest.raises(ValueError, match="betas"):
             dw_fedavg([np.zeros(4), np.zeros(4)], idx)
+        # an index checks its betas when it is made, not when they are edited in place
+        idx = PriorityIndex.uniform(2)
+        idx.betas[:] = [0.45, 0.45]
+        with pytest.raises(ValueError, match="betas must sum to 1"):
+            dw_fedavg([np.zeros(4), np.zeros(4)], idx)
 
 
 class TestPriorityIndexType:
@@ -101,18 +106,28 @@ class TestPriorityIndexType:
         np.testing.assert_array_equal(idx.betas, np.full(5, 0.2))
         np.testing.assert_array_equal(idx.prev_acc, np.zeros(5))
         assert idx.round == 0
+        with pytest.raises(ValueError, match="need at least one client"):
+            PriorityIndex.uniform(0)
 
     def test_rejects_non_simplex(self):
         with pytest.raises(ValueError, match="sum to 1"):
             PriorityIndex(betas=np.array([0.5, 0.6]), prev_acc=np.zeros(2))
         with pytest.raises(ValueError, match="positive"):
             PriorityIndex(betas=np.array([1.0, 0.0]), prev_acc=np.zeros(2))
+        for betas in (np.zeros(0), np.full((2, 2), 0.25)):
+            with pytest.raises(ValueError, match="betas must be a non-empty 1-D vector"):
+                PriorityIndex(betas=betas, prev_acc=np.zeros(betas.shape))
 
     def test_rejects_bad_alpha_and_acc(self):
         with pytest.raises(ValueError, match="alpha"):
             PriorityIndex(betas=np.array([0.5, 0.5]), prev_acc=np.zeros(2), alpha=1.0)
         with pytest.raises(ValueError, match="prev_acc"):
             PriorityIndex(betas=np.array([0.5, 0.5]), prev_acc=np.array([0.1, 1.5]))
+        with pytest.raises(ValueError,
+                           match=r"prev_acc shape \(3,\) does not match betas shape \(2,\)"):
+            PriorityIndex(betas=np.array([0.5, 0.5]), prev_acc=np.zeros(3))
+        with pytest.raises(ValueError, match="round must be non-negative"):
+            PriorityIndex(betas=np.array([0.5, 0.5]), prev_acc=np.zeros(2), round=-1)
 
 
 class TestPriorityUpdate:

@@ -648,6 +648,9 @@ class TestPartitionClients:
         ds = balanced_dataset(40, pos_fraction=0.1)  # 4 positives over 5 clients
         with pytest.raises(DatasetError, match="too few samples per client"):
             partition_clients(ds, np.arange(len(ds)), 5, seed=0)
+        toy = Dataset(name="toy", features=np.zeros((7, 3)), labels=np.arange(7) % 2)
+        with pytest.raises(DatasetError, match="^toy: 7 samples cannot fill 4 clients$"):
+            partition_clients(toy, np.arange(len(toy)), 4, seed=0)
 
     def test_shard_with_one_sample_of_a_class_cannot_split(self):
         labels = np.zeros(20, dtype=np.int64)
@@ -663,12 +666,14 @@ class TestPartitionClients:
         shards = partition_clients(ds, rows, 4, seed=3)
         dealt = np.concatenate([np.concatenate([s.train, s.local_test]) for s in shards])
         np.testing.assert_array_equal(np.sort(dealt), rows)
-        assert all(s.data is ds for s in shards)
 
     def test_single_client_rejected(self):
         ds = balanced_dataset(50)
         with pytest.raises(ValueError, match="n_clients"):
             partition_clients(ds, np.arange(len(ds)), 1)
+        for fraction in (0.0, 1.0):
+            with pytest.raises(ValueError, match=r"local_test_fraction must lie in \(0, 1\)"):
+                partition_clients(ds, np.arange(len(ds)), 2, local_test_fraction=fraction)
 
 
 class TestScalingAndDataset:

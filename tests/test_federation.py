@@ -43,7 +43,8 @@ def small_config(**overrides):
 
 def alone(clients, i):
     """Client ``i`` of ``clients`` as a ClientState of one, with a stack of its own."""
-    return ClientState(clients[i:i + 1], clients.layer_dims, np.empty((1, clients.params.shape[1])))
+    return ClientState(clients.data, clients[i:i + 1], clients.layer_dims,
+                       np.empty((1, clients.params.shape[1])))
 
 
 def server_round(params, clients, idx, cfg, **kwargs):
@@ -126,7 +127,7 @@ class TestRunRound:
     def test_stack_rows_are_the_clients_in_client_order(self, small_dataset):
         # at run seed 5 the 7 clients' shard lengths are not in client order
         _, clients, params, _ = setup_repeat(small_config(n_clients=7), small_dataset, run_seed=5)
-        assert [c.client_id for c in clients] == [c.shard.client_id for c in clients] == [*range(7)]
+        assert [c.client_id for c in clients] == [*range(7)]
         lengths = [len(c.shard.train) for c in clients]
         assert lengths != sorted(lengths, reverse=True)
         assert clients.params.shape == (7, params.size)
@@ -234,7 +235,7 @@ class TestRunRound:
 class TestSetupRepeat:
     def test_shards_index_the_dataset_and_leave_out_only_the_holdout_rows(self, small_dataset):
         holdout, clients, _, _ = setup_repeat(small_config(n_clients=4), small_dataset, run_seed=5)
-        assert all(c.shard.data is small_dataset for c in clients)
+        assert clients.data is small_dataset
         dealt = np.concatenate([np.concatenate([c.shard.train, c.shard.local_test])
                                 for c in clients])
         assert np.unique(dealt).size == dealt.size
@@ -555,6 +556,22 @@ class TestClientState:
         assert clients.params is buffer
         np.testing.assert_array_equal(clients.params, vecs)
         assert not any(np.array_equal(vec, params) for vec in vecs)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_local_update_trains_on_the_table_it_holds(self, small_dataset, threads):
+        # the splits read only the labels and the seeds, so both tables deal the same shards
+        cfg = small_config()
+        other = Dataset(small_dataset.name, 1 - small_dataset.features, small_dataset.labels)
+        _, clients, params, _ = setup_repeat(cfg, small_dataset, run_seed=5)
+        _, on_other, _, _ = setup_repeat(cfg, other, run_seed=5)
+        assert [c.shard.train.tolist() for c in clients] == [c.shard.train.tolist() for c in on_other]
+        moved = dataclasses.replace(clients, data=other, params=np.empty_like(clients.params))
+        vecs, accs = moved.local_update(params, cfg.train, self.rngs(moved), threads)
+        expected, expected_accs = on_other.local_update(params, cfg.train, self.rngs(on_other), threads)
+        assert vecs.tobytes() == expected.tobytes()
+        assert accs.tolist() == expected_accs.tolist()
+        own, _ = clients.local_update(params, cfg.train, self.rngs(clients), threads)
+        assert own.tobytes() != vecs.tobytes()
 
     def test_the_broadcast_overwrites_the_local_models(self, small_dataset):
         cfg = small_config()

@@ -64,6 +64,8 @@ class TestConfusion:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             confusion([1, 0], [1])
+        with pytest.raises(ValueError, match=r"^pred must be a 1-D vector, got shape \(2, 2\)$"):
+            confusion([[1, 0], [0, 1]], [1, 0])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -162,6 +164,8 @@ class TestAucRank:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             auc_rank([0.1, 0.2, 0.3], [0, 1])
+        with pytest.raises(ValueError, match=r"^truth must be a 1-D vector, got shape \(1, 2\)$"):
+            auc_rank([0.1, 0.9], [[0, 1]])
 
 
 class TestEvaluateScores:
